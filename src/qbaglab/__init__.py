@@ -8,8 +8,8 @@ functions against formal principles on bundled and random graphs.
 
 from .contributions import (
     DEFAULT_BUDGET,
+    CoalitionGame,
     ContributionResult,
-    EvaluationCache,
     GradientAggregator,
     Partition,
     Psi,
@@ -66,7 +66,6 @@ from .graph import (
     validate,
 )
 from .principles import (
-    EvalContext,
     MatrixCell,
     MatrixReport,
     SearchConfig,

@@ -15,6 +15,11 @@ Four set functions are provided:
 plus the partition variant of the Shapley function, where the players are
 the blocks of a caller-supplied partition of all non-topic arguments.
 
+All of them read one coalition game, `CoalitionGame`: v(S) is the topic's
+final strength once coalition S is removed (or detached). It compiles the
+topic's ancestor cone once and memoises v by bitmask, so a caller asking
+several questions about one (graph, semantics, topic) shares one game.
+
 The single-argument functions are implemented independently of the set
 functions on purpose: agreement between `single_contribution(kind, ...)`
 and the matching set function on a singleton is a meaningful cross-check,
@@ -29,6 +34,7 @@ import random
 import statistics
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -37,8 +43,15 @@ from .errors import (
     TopicInSetError,
     UnknownArgumentError,
 )
-from .graph import Qbag, detach_incoming, restrict, set_initial_strength
-from .semantics import Semantics, evaluate, evaluate_dual, semantics_from_spec
+from .graph import Qbag, influencers, restrict, set_initial_strength, topological_order
+from .semantics import (
+    Semantics,
+    _parent_map,
+    evaluate,
+    evaluate_dual,
+    node_strength,
+    semantics_from_spec,
+)
 
 DEFAULT_BUDGET = 2 ** 20
 SIGN_TOL = 1e-9
@@ -76,30 +89,6 @@ class ContributionResult:
     topic: str
     evaluations: int
     std_error: float | None = None
-
-
-class EvaluationCache:
-    """Memo of final-strength assignments keyed by the set of removed arguments.
-
-    Shapley sums re-evaluate heavily overlapping coalitions; this cache is
-    the dominant cost saver. Inserts are idempotent, so sharing one cache
-    across calls on the same (graph, semantics) pair is safe.
-    """
-
-    def __init__(self, g: Qbag, sem: Semantics | str):
-        self.graph = g
-        self.semantics = semantics_from_spec(sem)
-        self._memo: dict[frozenset, dict[str, float]] = {}
-        self.computed = 0
-
-    def sigma_without(self, removed: Iterable[str]) -> dict[str, float]:
-        key = frozenset(removed)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = evaluate(restrict(self.graph, self.graph.arguments - key), self.semantics)
-            self._memo[key] = hit
-            self.computed += 1
-        return hit
 
 
 @dataclass(frozen=True)
@@ -157,144 +146,244 @@ def _result(value, function, sem, members, topic, evaluations, std_error=None):
     )
 
 
-# --- set contribution functions ----------------------------------------------
+# --- the coalition game ---------------------------------------------------------
 
 
-def removal(
-    g: Qbag, sem: Semantics, members: Iterable[str], topic: str,
-    cache: EvaluationCache | None = None,
-) -> ContributionResult:
-    """sigma(topic) minus sigma(topic) after removing the whole set."""
-    sem = semantics_from_spec(sem)
-    members = _check_contributor(g, members, topic)
-    cache = cache or EvaluationCache(g, sem)
-    start = cache.computed
-    value = cache.sigma_without(())[topic] - cache.sigma_without(members)[topic]
-    return _result(value, "removal", sem, members, topic, cache.computed - start)
+class CoalitionGame:
+    """v(S) for one (graph, semantics, topic): the topic's final strength once
+    coalition S is removed, or once the edges entering S from outside are
+    detached. Every set contribution function is read from this game.
 
+    The graph is compiled once, on first use: the topic's ancestor cone in
+    topological order (the topic last), each node with its sorted parents as
+    (index, polarity) pairs. A coalition is an int bitmask over the cone;
+    arguments outside it cannot move the topic and get no bit, so coalitions
+    that differ only in them share one memo entry. `computed` counts the
+    distinct strength evaluations and dual passes this game has made.
+    """
 
-def intrinsic_removal(
-    g: Qbag, sem: Semantics, members: Iterable[str], topic: str,
-    cache: EvaluationCache | None = None,
-) -> ContributionResult:
-    sem = semantics_from_spec(sem)
-    members = _check_contributor(g, members, topic)
-    cache = cache or EvaluationCache(g, sem)
-    start = cache.computed
-    detached_sigma = evaluate(detach_incoming(g, members), sem)[topic]
-    value = detached_sigma - cache.sigma_without(members)[topic]
-    return _result(value, "intrinsic", sem, members, topic, cache.computed - start + 1)
+    def __init__(self, g: Qbag, sem, topic: str, budget: int = DEFAULT_BUDGET):
+        self.graph = g
+        self.semantics = semantics_from_spec(sem)
+        self.topic = topic
+        self.budget = budget
+        self._values: dict[int, float] = {}
+        self._duals: dict[str, float] = {}
+        self._set_values: dict[tuple, float] = {}
+        self.computed = 0
 
+    @cached_property
+    def _cone(self) -> tuple[dict[str, int], list[tuple[float, tuple]]]:
+        """(bit per cone argument, (tau, parents) per cone node)."""
+        g = self.graph
+        cone = influencers(g, self.topic, include_topic=True)
+        order = [a for a in topological_order(g) if a in cone]
+        index = {a: i for i, a in enumerate(order)}
+        parents = _parent_map(g)
+        nodes = [(g.initial_strength[a], tuple((index[src], pol) for src, pol in parents[a]))
+                 for a in order]
+        return {a: 1 << i for a, i in index.items()}, nodes
 
-def gradient(
-    g: Qbag, sem: Semantics, members: Iterable[str], topic: str,
-    psi: Psi = Psi.MAX,
-) -> ContributionResult:
-    sem = semantics_from_spec(sem)
-    members = _check_contributor(g, members, topic)
-    if not members:
-        raise ContributorError(
-            "gradient-based contribution of the empty set is undefined "
-            "(nothing to aggregate)"
-        )
-    grads = [evaluate_dual(g, sem, x)[topic].deriv for x in sorted(members)]
-    value = psi.combine(grads)
-    return _result(value, f"gradient-{psi.value}", sem, members, topic, len(grads))
+    def mask(self, args: Iterable[str]) -> int:
+        bit, out = self._cone[0], 0
+        for a in args:
+            out |= bit.get(a, 0)
+        return out
 
+    def value(self, removed: int = 0, detached: int = 0) -> float:
+        """Topic strength with the `removed` coalition deleted and the edges
+        entering the `detached` coalition from outside cut (both masks)."""
+        nodes = self._cone[1]
+        key = removed | detached << len(nodes)
+        hit = self._values.get(key)
+        if hit is None:
+            sem = self.semantics
+            vals: list[float] = []
+            for i, (w, parents) in enumerate(nodes):
+                if removed >> i & 1:
+                    vals.append(0.0)  # never read: every edge out of it is cut
+                    continue
+                cut = removed | ~detached if detached >> i & 1 else removed
+                live = [(j, pol) for j, pol in parents if not cut >> j & 1]
+                vals.append(node_strength(sem, w, [pol for _, pol in live],
+                                          [vals[j] for j, _ in live]))
+            hit = self._values[key] = vals[-1]
+            self.computed += 1
+        return hit
 
-def shapley(
-    g: Qbag, sem: Semantics, members: Iterable[str], topic: str,
-    cache: EvaluationCache | None = None,
-    budget: int = DEFAULT_BUDGET,
-    monte_carlo: bool = False,
-    samples: int = 20_000,
-    seed: int = 0,
-) -> ContributionResult:
-    """The set acts as one Shapley player; all other non-topic arguments are
-    singleton players. Exact enumeration unless it would blow the budget,
-    in which case `monte_carlo=True` switches to permutation sampling."""
-    sem = semantics_from_spec(sem)
-    members = _check_contributor(g, members, topic)
-    cache = cache or EvaluationCache(g, sem)
-    start = cache.computed
-    if not members:
-        return _result(0.0, "shapley", sem, members, topic, 0)
-    others = sorted(g.arguments - members - {topic})
-    m = len(others)
+    def dual(self, x: str) -> float:
+        """d(topic strength) / d(tau(x)), one forward-mode pass per member."""
+        hit = self._duals.get(x)
+        if hit is None:
+            hit = self._duals[x] = evaluate_dual(self.graph, self.semantics, x)[self.topic].deriv
+            self.computed += 1
+        return hit
 
-    def marginal(coalition: frozenset) -> float:
-        return (
-            cache.sigma_without(coalition)[topic]
-            - cache.sigma_without(coalition | members)[topic]
-        )
+    def _result(self, value, function, members, start, std_error=None):
+        return _result(value, function, self.semantics, members, self.topic,
+                       self.computed - start, std_error)
 
-    if monte_carlo:
+    def removal(self, members: Iterable[str]) -> ContributionResult:
+        members = _check_contributor(self.graph, members, self.topic)
+        start = self.computed
+        value = self.value() - self.value(self.mask(members))
+        return self._result(value, "removal", members, start)
+
+    def intrinsic(self, members: Iterable[str]) -> ContributionResult:
+        members = _check_contributor(self.graph, members, self.topic)
+        start = self.computed
+        m = self.mask(members)
+        value = self.value(detached=m) - self.value(m)
+        return self._result(value, "intrinsic", members, start)
+
+    def gradient(self, members: Iterable[str], psi: Psi = Psi.MAX) -> ContributionResult:
+        members = _check_contributor(self.graph, members, self.topic)
+        if not members:
+            raise ContributorError(
+                "gradient-based contribution of the empty set is undefined "
+                "(nothing to aggregate)"
+            )
+        start = self.computed
+        value = psi.combine([self.dual(x) for x in sorted(members)])
+        return self._result(value, f"gradient-{psi.value}", members, start)
+
+    def _exact_shapley(self, member_mask: int, players: Sequence[int]) -> float:
+        """Shapley value of the player `member_mask` against `players` (masks),
+        summed in the order of itertools.combinations."""
+        n = len(players)
+        needed = 2 ** (n + 1)
+        if needed > self.budget:
+            raise BudgetError(needed, self.budget)
+        value = 0.0
+        denom = math.factorial(n + 1)
+        for r in range(n + 1):
+            weight = math.factorial(r) * math.factorial(n - r) / denom
+            for combo in itertools.combinations(players, r):
+                coalition = sum(combo)
+                value += weight * (self.value(coalition) - self.value(coalition | member_mask))
+        return value
+
+    def shapley(
+        self, members: Iterable[str], monte_carlo: bool = False,
+        samples: int = 20_000, seed: int = 0,
+    ) -> ContributionResult:
+        """The set acts as one Shapley player; all other non-topic arguments
+        are singleton players. Exact enumeration unless it would blow the
+        budget, in which case `monte_carlo=True` switches to permutation
+        sampling."""
+        members = _check_contributor(self.graph, members, self.topic)
+        start = self.computed
+        if not members:
+            return self._result(0.0, "shapley", members, start)
+        member_mask = self.mask(members)
+        others = sorted(self.graph.arguments - members - {self.topic})
+        if not monte_carlo:
+            value = self._exact_shapley(member_mask, [self.mask((x,)) for x in others])
+            return self._result(value, "shapley", members, start)
+        m = len(others)
         rng = random.Random(seed)
         draws = []
         for _ in range(samples):
             order = others[:]
             rng.shuffle(order)
             cut = rng.randint(0, m)  # position of the set player among m+1 slots
-            draws.append(marginal(frozenset(order[:cut])))
+            coalition = self.mask(order[:cut])
+            draws.append(self.value(coalition) - self.value(coalition | member_mask))
         value = statistics.fmean(draws)
         err = statistics.stdev(draws) / math.sqrt(len(draws)) if len(draws) > 1 else None
-        return _result(value, "shapley", sem, members, topic,
-                       cache.computed - start, std_error=err)
+        return self._result(value, "shapley", members, start, std_error=err)
 
-    needed = 2 ** (m + 1)
-    if needed > budget:
-        raise BudgetError(needed, budget)
-    value = 0.0
-    denom = math.factorial(m + 1)
-    for r in range(m + 1):
-        weight = math.factorial(r) * math.factorial(m - r) / denom
-        for combo in itertools.combinations(others, r):
-            value += weight * marginal(frozenset(combo))
-    return _result(value, "shapley", sem, members, topic, cache.computed - start)
+    def partition_shapley(
+        self, members: Iterable[str], partition: Iterable[Iterable[str]],
+    ) -> ContributionResult:
+        """Shapley value of the block `members` in the game whose players are
+        the blocks of `partition` (which must partition all non-topic
+        arguments)."""
+        members = _check_contributor(self.graph, members, self.topic)
+        blocks = Partition(tuple(partition)).blocks
+        if members not in blocks:
+            raise ContributorError("the contributor set must be one of the partition blocks")
+        if frozenset().union(*blocks) != self.graph.arguments - {self.topic}:
+            raise ContributorError("partition blocks must cover exactly the non-topic arguments")
+        start = self.computed
+        others = sorted((b for b in blocks if b != members), key=sorted)
+        value = self._exact_shapley(self.mask(members), [self.mask(b) for b in others])
+        return self._result(value, "partition-shapley", members, start)
+
+    def contribution(
+        self, fn_id: str, members: Iterable[str], monte_carlo: bool = False,
+        samples: int = 20_000, seed: int = 0,
+    ) -> ContributionResult:
+        """The set function named `fn_id` (one of FUNCTION_IDS)."""
+        if fn_id == "removal":
+            return self.removal(members)
+        if fn_id == "intrinsic":
+            return self.intrinsic(members)
+        if fn_id == "shapley":
+            return self.shapley(members, monte_carlo=monte_carlo, samples=samples, seed=seed)
+        if fn_id in _GRADIENT_PSI:
+            return self.gradient(members, _GRADIENT_PSI[fn_id])
+        raise ContributorError(
+            f"unknown contribution function {fn_id!r}; known: {', '.join(FUNCTION_IDS)}"
+        )
+
+    def set_value(self, fn, members: Iterable[str]) -> float:
+        """Memoised value of the set function `fn` for `members`: an id from
+        FUNCTION_IDS, or a callable (g, sem, members, topic) -> float for
+        negative-control experiments."""
+        key = (fn, frozenset(members))
+        hit = self._set_values.get(key)
+        if hit is None:
+            if callable(fn):
+                hit = fn(self.graph, self.semantics, key[1], self.topic)
+            else:
+                hit = self.contribution(fn, key[1]).value
+            self._set_values[key] = hit
+        return hit
+
+
+# --- set contribution functions ----------------------------------------------
+# Each call compiles its own game; callers that ask several questions about
+# one (graph, semantics, topic) share a CoalitionGame instead.
+
+
+def removal(g: Qbag, sem: Semantics, members: Iterable[str], topic: str) -> ContributionResult:
+    """sigma(topic) minus sigma(topic) after removing the whole set."""
+    return CoalitionGame(g, sem, topic).removal(members)
+
+
+def intrinsic_removal(
+    g: Qbag, sem: Semantics, members: Iterable[str], topic: str,
+) -> ContributionResult:
+    return CoalitionGame(g, sem, topic).intrinsic(members)
+
+
+def gradient(
+    g: Qbag, sem: Semantics, members: Iterable[str], topic: str,
+    psi: Psi = Psi.MAX,
+) -> ContributionResult:
+    return CoalitionGame(g, sem, topic).gradient(members, psi)
+
+
+def shapley(
+    g: Qbag, sem: Semantics, members: Iterable[str], topic: str,
+    budget: int = DEFAULT_BUDGET,
+    monte_carlo: bool = False,
+    samples: int = 20_000,
+    seed: int = 0,
+) -> ContributionResult:
+    """Set Shapley value of `members` toward `topic`; see CoalitionGame.shapley."""
+    return CoalitionGame(g, sem, topic, budget).shapley(
+        members, monte_carlo=monte_carlo, samples=samples, seed=seed)
 
 
 def partition_shapley(
     g: Qbag, sem: Semantics, members: Iterable[str],
     partition: Iterable[Iterable[str]], topic: str,
-    cache: EvaluationCache | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> ContributionResult:
-    """Shapley value of the block `members` in the game whose players are the
-    blocks of `partition` (which must partition all non-topic arguments)."""
-    sem = semantics_from_spec(sem)
-    members = _check_contributor(g, members, topic)
-    blocks = [frozenset(b) for b in partition]
-    if members not in blocks:
-        raise ContributorError("the contributor set must be one of the partition blocks")
-    if any(not b for b in blocks):
-        raise ContributorError("partition blocks must be non-empty")
-    union: set[str] = set()
-    total = 0
-    for b in blocks:
-        union |= b
-        total += len(b)
-    if total != len(union) or union != set(g.arguments) - {topic}:
-        raise ContributorError(
-            "blocks must be disjoint and cover exactly the non-topic arguments"
-        )
-    cache = cache or EvaluationCache(g, sem)
-    start = cache.computed
-    others = sorted((b for b in blocks if b != members), key=sorted)
-    n = len(others)
-    needed = 2 ** (n + 1)
-    if needed > budget:
-        raise BudgetError(needed, budget)
-    value = 0.0
-    denom = math.factorial(n + 1)
-    for r in range(n + 1):
-        weight = math.factorial(r) * math.factorial(n - r) / denom
-        for combo in itertools.combinations(others, r):
-            joined = frozenset().union(*combo) if combo else frozenset()
-            value += weight * (
-                cache.sigma_without(joined)[topic]
-                - cache.sigma_without(joined | members)[topic]
-            )
-    return _result(value, "partition-shapley", sem, members, topic, cache.computed - start)
+    """Shapley value of the block `members` among the blocks of `partition`."""
+    return CoalitionGame(g, sem, topic, budget).partition_shapley(members, partition)
 
 
 # --- a uniform way to call set functions by id --------------------------------
@@ -317,24 +406,13 @@ _GRADIENT_PSI = {
 
 def apply_set_function(
     fn_id: str, g: Qbag, sem: Semantics, members: Iterable[str], topic: str,
-    cache: EvaluationCache | None = None,
     budget: int = DEFAULT_BUDGET,
     monte_carlo: bool = False,
     samples: int = 20_000,
     seed: int = 0,
 ) -> ContributionResult:
-    if fn_id == "removal":
-        return removal(g, sem, members, topic, cache=cache)
-    if fn_id == "intrinsic":
-        return intrinsic_removal(g, sem, members, topic, cache=cache)
-    if fn_id == "shapley":
-        return shapley(g, sem, members, topic, cache=cache, budget=budget,
-                       monte_carlo=monte_carlo, samples=samples, seed=seed)
-    if fn_id in _GRADIENT_PSI:
-        return gradient(g, sem, members, topic, psi=_GRADIENT_PSI[fn_id])
-    raise ContributorError(
-        f"unknown contribution function {fn_id!r}; known: {', '.join(FUNCTION_IDS)}"
-    )
+    return CoalitionGame(g, sem, topic, budget).contribution(
+        fn_id, members, monte_carlo=monte_carlo, samples=samples, seed=seed)
 
 
 # --- single-argument functions (independent implementations) -------------------
@@ -474,11 +552,8 @@ def sign_map(
     for e1 in grid:
         for e2 in grid:
             g_mod = set_initial_strength(set_initial_strength(g, x1, e1), x2, e2)
-            cache = EvaluationCache(g_mod, sem)
-            signs = tuple(
-                sign(apply_set_function(function, g_mod, sem, s, topic, cache=cache).value, tol)
-                for s in sets
-            )
+            game = CoalitionGame(g_mod, sem, topic)
+            signs = tuple(sign(game.contribution(function, s).value, tol) for s in sets)
             rows.append((e1, e2, signs))
     return SignMap(sweep=(x1, x2), step=step, labels=labels, rows=tuple(rows))
 

@@ -7,6 +7,10 @@ no finite tool can prove a universally quantified principle, it can only fail
 to refute it. Violations, on the other hand, are hard facts and ship with a
 replayable witness.
 
+Each topic-level checker reads its values from one `CoalitionGame` for
+(graph, semantics, topic); the public `check_*` functions build that game,
+and `run_matrix` shares one per (graph, semantics, topic) across all cells.
+
 The matrix runner crosses the four set functions with the five semantics
 presets over the bundled fixture corpus plus a seeded random corpus and
 compares the outcome of every (function, semantics, principle) cell against
@@ -24,23 +28,15 @@ from typing import Iterable, Mapping, Sequence
 from .contributions import (
     DEFAULT_BUDGET,
     SIGN_TOL,
-    EvaluationCache,
-    Psi,
+    SINGLE_FOR_SET,
+    CoalitionGame,
     SingleKind,
-    shapley,
     sign,
     single_contribution,
 )
-from .errors import ContributorError, PartitionSpaceError
-from .graph import Qbag, can_reach, detach_incoming, influencers, qbag, restrict
-from .semantics import (
-    PRESET_NAMES,
-    Semantics,
-    check_stability,
-    evaluate,
-    evaluate_dual,
-    semantics_from_spec,
-)
+from .errors import PartitionSpaceError
+from .graph import Qbag, can_reach, influencers, qbag, restrict
+from .semantics import PRESET_NAMES, check_stability
 from .verdicts import Principle, PrincipleVerdict, Status, Witness
 
 TOL = SIGN_TOL
@@ -72,69 +68,6 @@ class SearchConfig:
     seed: int = 0
     budget: int = DEFAULT_BUDGET
     sample_size: int = 200
-
-
-class EvalContext:
-    """Shared memoization for one (graph, semantics) pair.
-
-    Checkers hammer the same restricted subgraphs and dual passes over and
-    over; routing all of them through one context makes the matrix run cheap.
-    """
-
-    def __init__(self, g: Qbag, sem: Semantics | str, budget: int = DEFAULT_BUDGET):
-        self.g = g
-        self.sem = semantics_from_spec(sem)
-        self.cache = EvaluationCache(g, self.sem)
-        self.budget = budget
-        self._duals: dict[str, Mapping] = {}
-        self._detached: dict[frozenset, Mapping] = {}
-        self._set_values: dict[tuple, float] = {}
-
-    def sigma(self, removed: Iterable[str] = ()) -> Mapping[str, float]:
-        return self.cache.sigma_without(removed)
-
-    def dual(self, seed_arg: str) -> Mapping:
-        if seed_arg not in self._duals:
-            self._duals[seed_arg] = evaluate_dual(self.g, self.sem, seed_arg)
-        return self._duals[seed_arg]
-
-    def detached_sigma(self, members: frozenset) -> Mapping[str, float]:
-        if members not in self._detached:
-            self._detached[members] = evaluate(detach_incoming(self.g, members), self.sem)
-        return self._detached[members]
-
-    def set_value(self, fn, members: Iterable[str], topic: str) -> float:
-        """Value of the set contribution function `fn` (an id or a callable
-        for negative-control experiments) for `members` toward `topic`."""
-        members = frozenset(members)
-        if callable(fn):
-            return fn(self.g, self.sem, members, topic)
-        key = (fn, members, topic)
-        if key in self._set_values:
-            return self._set_values[key]
-        if fn == "removal":
-            value = self.sigma(())[topic] - self.sigma(members)[topic]
-        elif fn == "intrinsic":
-            value = self.detached_sigma(members)[topic] - self.sigma(members)[topic]
-        elif fn == "shapley":
-            value = shapley(
-                self.g, self.sem, members, topic, cache=self.cache, budget=self.budget
-            ).value
-        elif fn.startswith("gradient-"):
-            psi = Psi(fn.split("-", 1)[1])
-            if not members:
-                raise ContributorError("gradient set function undefined on the empty set")
-            value = psi.combine([self.dual(x)[topic].deriv for x in sorted(members)])
-        else:
-            raise ContributorError(f"unknown contribution function id {fn!r}")
-        self._set_values[key] = value
-        return value
-
-
-def _ctx(fn_ignored, g, sem, ctx: EvalContext | None) -> EvalContext:
-    if ctx is not None:
-        return ctx
-    return EvalContext(g, sem)
 
 
 def _subsets(others: Sequence[str], include_empty: bool = False):
@@ -188,18 +121,22 @@ def enumerate_partitions(base: Iterable[str]):
 # --- checkers -------------------------------------------------------------------
 
 
-def check_generalization(
-    fn_pair, g: Qbag, sem, *, tol: float = TOL, ctx: EvalContext | None = None
-) -> PrincipleVerdict:
+def _on_game(checker, fn, g: Qbag, sem, a: str, cfg, tol, **kwargs) -> PrincipleVerdict:
+    """Run a game-level checker on a fresh game for (g, sem, a)."""
+    cfg = cfg or SearchConfig()
+    return checker(fn, CoalitionGame(g, sem, a, cfg.budget), cfg, tol, **kwargs)
+
+
+def check_generalization(fn_pair, g: Qbag, sem, *, tol: float = TOL) -> PrincipleVerdict:
     """Does the set function restricted to singletons agree with the matching
     single-argument function for every (contributor, topic) pair?"""
     single_kind, set_fn = fn_pair
-    ctx = _ctx(set_fn, g, sem, ctx)
     checked = 0
     for topic in sorted(g.arguments):
+        game = CoalitionGame(g, sem, topic)
         for x in sorted(g.arguments - {topic}):
-            single = single_contribution(single_kind, g, ctx.sem, x, topic).value
-            joint = ctx.set_value(set_fn, {x}, topic)
+            single = single_contribution(single_kind, g, game.semantics, x, topic).value
+            joint = game.set_value(set_fn, {x})
             checked += 1
             if abs(single - joint) > tol:
                 return PrincipleVerdict(
@@ -220,14 +157,19 @@ def check_generalization(
 
 def check_contribution_existence(
     fn, g: Qbag, sem, a: str, *, cfg: SearchConfig | None = None,
-    tol: float = TOL, ctx: EvalContext | None = None,
+    tol: float = TOL,
 ) -> PrincipleVerdict:
     """If the topic moved away from its initial strength, some contributor set
     must get a nonzero value."""
-    cfg = cfg or SearchConfig()
-    ctx = _ctx(fn, g, sem, ctx)
+    return _on_game(_contribution_existence, fn, g, sem, a, cfg, tol)
+
+
+def _contribution_existence(
+    fn, game: CoalitionGame, cfg: SearchConfig, tol: float,
+) -> PrincipleVerdict:
+    g, a = game.graph, game.topic
     principle = Principle.CONTRIBUTION_EXISTENCE
-    sigma_a = ctx.sigma(())[a]
+    sigma_a = game.value()
     delta = sigma_a - g.initial_strength[a]
     if abs(delta) <= tol:
         return PrincipleVerdict(
@@ -245,7 +187,7 @@ def check_contribution_existence(
     checked = 0
     largest = 0.0
     for xs in pool:
-        value = ctx.set_value(fn, xs, a)
+        value = game.set_value(fn, xs)
         checked += 1
         largest = max(largest, abs(value))
         if abs(value) > tol:
@@ -270,13 +212,18 @@ def check_contribution_existence(
 
 def check_quantitative_contribution_existence(
     fn, g: Qbag, sem, a: str, mode: str = "All", *, cfg: SearchConfig | None = None,
-    tol: float = TOL, ctx: EvalContext | None = None,
+    tol: float = TOL,
 ) -> PrincipleVerdict:
     """All-mode: every partition of the non-topic arguments must sum to
     sigma(a) - tau(a). Exists-mode: some partition must, with the
     reachability split tried first."""
-    cfg = cfg or SearchConfig()
-    ctx = _ctx(fn, g, sem, ctx)
+    return _on_game(_quantitative_contribution_existence, fn, g, sem, a, cfg, tol, mode=mode)
+
+
+def _quantitative_contribution_existence(
+    fn, game: CoalitionGame, cfg: SearchConfig, tol: float, mode: str = "All",
+) -> PrincipleVerdict:
+    g, a = game.graph, game.topic
     mode = str(mode).lower()
     if mode not in ("all", "exists"):
         raise ValueError(f"mode must be 'All' or 'Exists', got {mode!r}")
@@ -285,11 +232,11 @@ def check_quantitative_contribution_existence(
         if mode == "all"
         else Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE
     )
-    delta = ctx.sigma(())[a] - g.initial_strength[a]
+    delta = game.value() - g.initial_strength[a]
     base = sorted(g.arguments - {a})
 
     def partition_sum(blocks) -> float:
-        return sum(ctx.set_value(fn, b, a) for b in blocks)
+        return sum(game.set_value(fn, b) for b in blocks)
 
     if mode == "all":
         checked = 0
@@ -362,11 +309,16 @@ def check_quantitative_contribution_existence(
 
 def check_directionality(
     fn, g: Qbag, sem, a: str, *, cfg: SearchConfig | None = None,
-    tol: float = TOL, ctx: EvalContext | None = None,
+    tol: float = TOL,
 ) -> PrincipleVerdict:
     """Sets whose members cannot reach the topic must contribute exactly zero."""
-    cfg = cfg or SearchConfig()
-    ctx = _ctx(fn, g, sem, ctx)
+    return _on_game(_directionality, fn, g, sem, a, cfg, tol)
+
+
+def _directionality(
+    fn, game: CoalitionGame, cfg: SearchConfig, tol: float,
+) -> PrincipleVerdict:
+    g, a = game.graph, game.topic
     principle = Principle.DIRECTIONALITY
     unreachable = [x for x in sorted(g.arguments - {a}) if not can_reach(g, x, a)]
     if not unreachable:
@@ -383,7 +335,7 @@ def check_directionality(
     )
     checked = 0
     for xs in pool:
-        value = ctx.set_value(fn, xs, a)
+        value = game.set_value(fn, xs)
         checked += 1
         if abs(value) > tol:
             return PrincipleVerdict(
@@ -400,12 +352,17 @@ def check_directionality(
 
 def check_counterfactuality(
     fn, g: Qbag, sem, a: str, quantitative: bool = False, *,
-    cfg: SearchConfig | None = None, tol: float = TOL, ctx: EvalContext | None = None,
+    cfg: SearchConfig | None = None, tol: float = TOL,
 ) -> PrincipleVerdict:
     """Sign (or value, in the quantitative variant) of S(X)(a) must match the
     change in the topic's strength caused by actually removing X."""
-    cfg = cfg or SearchConfig()
-    ctx = _ctx(fn, g, sem, ctx)
+    return _on_game(_counterfactuality, fn, g, sem, a, cfg, tol, quantitative=quantitative)
+
+
+def _counterfactuality(
+    fn, game: CoalitionGame, cfg: SearchConfig, tol: float, quantitative: bool = False,
+) -> PrincipleVerdict:
+    g, a = game.graph, game.topic
     principle = (
         Principle.QUANTITATIVE_COUNTERFACTUALITY if quantitative
         else Principle.COUNTERFACTUALITY
@@ -419,11 +376,11 @@ def check_counterfactuality(
         if exhaustive
         else _sample_subsets(others, random.Random(cfg.seed), cfg.sample_size)
     )
-    sigma_full = ctx.sigma(())[a]
+    sigma_full = game.value()
     checked = 0
     for xs in pool:
-        value = ctx.set_value(fn, xs, a)
-        removal_delta = sigma_full - ctx.sigma(xs)[a]
+        value = game.set_value(fn, xs)
+        removal_delta = sigma_full - game.value(game.mask(xs))
         checked += 1
         if quantitative:
             bad = abs(value - removal_delta) > tol
@@ -446,12 +403,17 @@ def check_counterfactuality(
 
 def check_consistency(
     fn, g: Qbag, sem, a: str, *, cfg: SearchConfig | None = None,
-    tol: float = TOL, ctx: EvalContext | None = None,
+    tol: float = TOL,
 ) -> PrincipleVerdict:
     """Two sets agreeing in contribution sign must not flip the sign of their
     union."""
-    cfg = cfg or SearchConfig()
-    ctx = _ctx(fn, g, sem, ctx)
+    return _on_game(_consistency, fn, g, sem, a, cfg, tol)
+
+
+def _consistency(
+    fn, game: CoalitionGame, cfg: SearchConfig, tol: float,
+) -> PrincipleVerdict:
+    g, a = game.graph, game.topic
     principle = Principle.CONSISTENCY
     others = sorted(g.arguments - {a})
     if not others:
@@ -472,17 +434,10 @@ def check_consistency(
                 yield (frozenset(next(_sample_subsets(others, rng, 1))),
                        frozenset(next(_sample_subsets(others, rng, 1))))
 
-    values: dict[frozenset, float] = {}
-
-    def val(s: frozenset) -> float:
-        if s not in values:
-            values[s] = ctx.set_value(fn, s, a)
-        return values[s]
-
     checked = 0
     for x_set, y_set in pair_iter():
-        vx, vy = val(x_set), val(y_set)
-        vu = val(x_set | y_set)
+        vx, vy = game.set_value(fn, x_set), game.set_value(fn, y_set)
+        vu = game.set_value(fn, x_set | y_set)
         checked += 1
         if vx <= tol and vy <= tol and vu > tol:
             bad, margin = True, vu
@@ -507,34 +462,32 @@ def check_consistency(
 
 def check_monotonicity(
     fn, g: Qbag, sem, a: str, *, cfg: SearchConfig | None = None,
-    tol: float = TOL, ctx: EvalContext | None = None,
+    tol: float = TOL,
 ) -> PrincipleVerdict:
     """Growing the contributor set must not shrink its contribution."""
-    cfg = cfg or SearchConfig()
-    ctx = _ctx(fn, g, sem, ctx)
+    return _on_game(_monotonicity, fn, g, sem, a, cfg, tol)
+
+
+def _monotonicity(
+    fn, game: CoalitionGame, cfg: SearchConfig, tol: float,
+) -> PrincipleVerdict:
+    g, a = game.graph, game.topic
     principle = Principle.MONOTONICITY
     others = sorted(g.arguments - {a})
     if not others:
         return PrincipleVerdict(principle, Status.SATISFIED, checked=0)
-
-    values: dict[frozenset, float] = {}
-
-    def val(s: frozenset) -> float:
-        if s not in values:
-            values[s] = ctx.set_value(fn, s, a)
-        return values[s]
 
     checked = 0
     if len(others) <= MAX_SUBSET_ARGS:
         n = len(others)
         for y_mask in range(1, 1 << n):
             y_set = frozenset(others[i] for i in range(n) if y_mask >> i & 1)
-            vy = val(y_set)
+            vy = game.set_value(fn, y_set)
             x_mask = (y_mask - 1) & y_mask
             while x_mask:
                 x_set = frozenset(others[i] for i in range(n) if x_mask >> i & 1)
                 checked += 1
-                vx = val(x_set)
+                vx = game.set_value(fn, x_set)
                 if vx > vy + tol:
                     return PrincipleVerdict(
                         principle, Status.VIOLATED, checked=checked,
@@ -553,7 +506,7 @@ def check_monotonicity(
         for _ in range(cfg.sample_size):
             y = tuple(sorted(rng.sample(others, rng.randint(1, len(others)))))
             x = tuple(sorted(rng.sample(y, rng.randint(1, len(y)))))
-            vx, vy = val(frozenset(x)), val(frozenset(y))
+            vx, vy = game.set_value(fn, x), game.set_value(fn, y)
             checked += 1
             if vx > vy + tol:
                 return PrincipleVerdict(
@@ -600,23 +553,24 @@ def random_corpus(cfg: SearchConfig) -> list[Qbag]:
     return out
 
 
-_CHECKER_KWARGS: dict[Principle, dict] = {
-    Principle.CONTRIBUTION_EXISTENCE: {},
-    Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE: {"mode": "All"},
-    Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE: {"mode": "Exists"},
-    Principle.DIRECTIONALITY: {},
-    Principle.COUNTERFACTUALITY: {"quantitative": False},
-    Principle.QUANTITATIVE_COUNTERFACTUALITY: {"quantitative": True},
-    Principle.CONSISTENCY: {},
-    Principle.MONOTONICITY: {},
+#: the game-level checker of each topic-level principle, with its options
+_CHECKERS: dict[Principle, tuple] = {
+    Principle.CONTRIBUTION_EXISTENCE: (_contribution_existence, {}),
+    Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE:
+        (_quantitative_contribution_existence, {"mode": "All"}),
+    Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE:
+        (_quantitative_contribution_existence, {"mode": "Exists"}),
+    Principle.DIRECTIONALITY: (_directionality, {}),
+    Principle.COUNTERFACTUALITY: (_counterfactuality, {"quantitative": False}),
+    Principle.QUANTITATIVE_COUNTERFACTUALITY: (_counterfactuality, {"quantitative": True}),
+    Principle.CONSISTENCY: (_consistency, {}),
+    Principle.MONOTONICITY: (_monotonicity, {}),
 }
 
-_SINGLE_FOR_SET = {
-    "removal": SingleKind.REMOVAL,
-    "intrinsic": SingleKind.INTRINSIC_REMOVAL,
-    "shapley": SingleKind.SHAPLEY,
-    "gradient-max": SingleKind.GRADIENT,
-}
+
+def _check_game(principle: Principle, fn, game: CoalitionGame, cfg: SearchConfig):
+    checker, kwargs = _CHECKERS[principle]
+    return checker(fn, game, cfg, TOL, **kwargs)
 
 
 def principle_from_name(name) -> Principle:
@@ -644,31 +598,19 @@ def principle_from_name(name) -> Principle:
 
 def run_check(
     principle: Principle, fn, g: Qbag, sem, a: str | None, *,
-    cfg: SearchConfig | None = None, ctx: EvalContext | None = None,
+    cfg: SearchConfig | None = None,
 ) -> PrincipleVerdict:
     """Dispatch one principle check on one instance."""
     principle = principle_from_name(principle)
     if principle is Principle.STABILITY:
-        return check_stability(semantics_from_spec(sem), g)
+        return check_stability(sem, g)
     if principle is Principle.CTRB_GENERALIZATION:
-        pair = (_SINGLE_FOR_SET.get(fn, SingleKind.REMOVAL), fn)
-        return check_generalization(pair, g, sem, ctx=ctx)
+        pair = (SINGLE_FOR_SET.get(fn, SingleKind.REMOVAL), fn)
+        return check_generalization(pair, g, sem)
     if a is None:
         raise ValueError(f"principle {principle.value} needs a topic argument")
-    checker = {
-        Principle.CONTRIBUTION_EXISTENCE: check_contribution_existence,
-        Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE:
-            check_quantitative_contribution_existence,
-        Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE:
-            check_quantitative_contribution_existence,
-        Principle.DIRECTIONALITY: check_directionality,
-        Principle.COUNTERFACTUALITY: check_counterfactuality,
-        Principle.QUANTITATIVE_COUNTERFACTUALITY: check_counterfactuality,
-        Principle.CONSISTENCY: check_consistency,
-        Principle.MONOTONICITY: check_monotonicity,
-    }[principle]
-    kwargs = dict(_CHECKER_KWARGS[principle])
-    return checker(fn, g, sem, a, cfg=cfg, ctx=ctx, **kwargs)
+    cfg = cfg or SearchConfig()
+    return _check_game(principle, fn, CoalitionGame(g, sem, a, cfg.budget), cfg)
 
 
 def _drop_edge(g: Qbag, edge, kind: str) -> Qbag:
@@ -926,13 +868,13 @@ def run_matrix(
     randoms = random_corpus(cfg)
     corpus: list[Qbag] = [fixtures[k] for k in sorted(fixtures)] + randoms
 
-    contexts: dict[tuple[int, str], EvalContext] = {}
+    games: dict[tuple[int, str, str], CoalitionGame] = {}
 
-    def ctx_for(g: Qbag, sem_name: str) -> EvalContext:
-        key = (id(g), sem_name)
-        if key not in contexts:
-            contexts[key] = EvalContext(g, sem_name, budget=cfg.budget)
-        return contexts[key]
+    def game_for(g: Qbag, sem_name: str, topic: str) -> CoalitionGame:
+        key = (id(g), sem_name, topic)
+        if key not in games:
+            games[key] = CoalitionGame(g, sem_name, topic, cfg.budget)
+        return games[key]
 
     cells = []
     for principle in principles:
@@ -943,10 +885,8 @@ def run_matrix(
                     status, fixture_id, witness, checked = "PASS", None, None, 0
                     for g in corpus:
                         for topic in topics_of(g):
-                            verdict = run_check(
-                                principle, fn, g, sem_name, topic,
-                                cfg=cfg, ctx=ctx_for(g, sem_name),
-                            )
+                            verdict = _check_game(
+                                principle, fn, game_for(g, sem_name, topic), cfg)
                             checked += verdict.checked
                             if verdict.violated:
                                 status, witness = "MISMATCH", verdict.witness
@@ -956,10 +896,7 @@ def run_matrix(
                 else:
                     fixture_id, topic = violation_fixture(principle, fn, sem_name)
                     g = fixtures[fixture_id]
-                    verdict = run_check(
-                        principle, fn, g, sem_name, topic,
-                        cfg=cfg, ctx=ctx_for(g, sem_name),
-                    )
+                    verdict = _check_game(principle, fn, game_for(g, sem_name, topic), cfg)
                     checked = verdict.checked
                     if verdict.violated:
                         status, witness = "VIOLATION-REPRODUCED", verdict.witness

@@ -12,12 +12,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .contributions import (
-    EvaluationCache,
+    CoalitionGame,
     Psi,
     gradient,
-    intrinsic_removal,
-    partition_shapley,
-    removal,
     shapley,
 )
 from .fixtures import FIG8_MANIFEST, FIXTURE_IDS, SEMANTICS_SLUGS, fixture
@@ -107,10 +104,10 @@ def _claims_fig1a() -> list[ClaimResult]:
     for arg, want in displays.items():
         out.append(_near(fid, f"QE final strength of {arg} displays as {want:.2f}",
                          sigma[arg], want, DISPLAY_2DP))
-    cache = EvaluationCache(g, sem)
-    sd = removal(g, sem, ("d",), "a", cache=cache).value
-    sf = removal(g, sem, ("f",), "a", cache=cache).value
-    sdf = removal(g, sem, ("d", "f"), "a", cache=cache).value
+    game = CoalitionGame(g, sem, "a")
+    sd = game.removal(("d",)).value
+    sf = game.removal(("f",)).value
+    sdf = game.removal(("d", "f")).value
     out.append(_sign(fid, "removal of {d} lowers the topic", sd, positive=False))
     out.append(_sign(fid, "removal of {f} lowers the topic", sf, positive=False))
     out.append(_sign(fid, "removal of {d,f} raises the topic", sdf, positive=True))
@@ -242,19 +239,18 @@ def _claims_fig6(slug: str, shapley_family: bool) -> list[ClaimResult]:
     fid = f"fig6-shapley-{slug}" if shapley_family else f"fig6-{slug}"
     g = fixture(fid)
     sem = PRESETS[name]
-    cache = EvaluationCache(g, sem)
+    game = CoalitionGame(g, sem, "a")
     out = []
     sets = (("d",), ("f",), ("d", "f"))
     if shapley_family:
-        triple = tuple(shapley(g, sem, m, "a", cache=cache).value for m in sets)
+        triple = tuple(game.shapley(m).value for m in sets)
         frozen = _FIG6_SHAPLEY_TRIPLES[name]
         fns = ("shapley",)
     else:
-        triple = tuple(removal(g, sem, m, "a", cache=cache).value for m in sets)
+        triple = tuple(game.removal(m).value for m in sets)
         frozen = _FIG6_REMOVAL_TRIPLES[name]
         fns = ("removal", "intrinsic")
-        triple_i = tuple(intrinsic_removal(g, sem, m, "a", cache=cache).value
-                         for m in sets)
+        triple_i = tuple(game.intrinsic(m).value for m in sets)
         gap = max(abs(x - y) for x, y in zip(triple, triple_i))
         out.append(ClaimResult(
             fid, f"{name}: intrinsic removal equals removal on d, f, d+f",
@@ -288,7 +284,7 @@ _FIG7_SINGLE = {
     ("shapley", "EB"): 0.15778293047582453,
     ("shapley", "EBT"): 0.15778293047582453,
 }
-_FIG7_FNS = {"removal": removal, "intrinsic": intrinsic_removal, "shapley": shapley}
+_FIG7_FNS = ("removal", "intrinsic", "shapley")
 
 
 def _claims_fig7() -> list[ClaimResult]:
@@ -297,10 +293,10 @@ def _claims_fig7() -> list[ClaimResult]:
     out = []
     for name in PRESET_ORDER:
         sem = PRESETS[name]
-        cache = EvaluationCache(g, sem)
-        for fn_id, fn in _FIG7_FNS.items():
-            sc = fn(g, sem, ("c",), "a", cache=cache).value
-            sbc = fn(g, sem, ("b", "c"), "a", cache=cache).value
+        game = CoalitionGame(g, sem, "a")
+        for fn_id in _FIG7_FNS:
+            sc = game.contribution(fn_id, ("c",)).value
+            sbc = game.contribution(fn_id, ("b", "c")).value
             out.append(_near(fid, f"{name}: {fn_id} of the superset {{b,c}} is zero",
                              sbc, 0.0, EXACT))
             out.append(_near(fid, f"{name}: {fn_id} of {{c}} regression",
@@ -331,8 +327,8 @@ def _claims_table4() -> list[ClaimResult]:
     g = fixture(fid)
     sem = PRESETS["DFQuAD"]
     out = []
-    cache = EvaluationCache(g, sem)
-    sigma_d = cache.sigma_without(frozenset())["D"]
+    game = CoalitionGame(g, sem, "D")
+    sigma_d = game.value()
     out.append(_near(fid, "decision strength sigma(D)", sigma_d, 0.495, DISPLAY_3DP))
     member_sets = {
         "{NOV,IMP}": ("NOV", "IMP"), "NOV": ("NOV",), "IMP": ("IMP",),
@@ -340,11 +336,11 @@ def _claims_table4() -> list[ClaimResult]:
     }
     computed = {}
     for label, members in member_sets.items():
-        r = removal(g, sem, members, "D", cache=cache).value
-        s = shapley(g, sem, members, "D", cache=cache).value
-        gm = gradient(g, sem, members, "D", psi=Psi.MAX).value
+        r = game.removal(members).value
+        s = game.shapley(members).value
+        gm = game.gradient(members, Psi.MAX).value
         computed[label] = (r, s, gm)
-        ri = intrinsic_removal(g, sem, members, "D", cache=cache).value
+        ri = game.intrinsic(members).value
         out.append(ClaimResult(
             fid, f"intrinsic equals removal for {label}",
             abs(ri - r) <= EXACT, f"gap {abs(ri - r):.3g}"))
@@ -358,8 +354,7 @@ def _claims_table4() -> list[ClaimResult]:
             out.append(_near(fid, f"{col} of {label} prints as {want:.3f}",
                              obs, want, DISPLAY_3DP))
     blocks = (("NOV", "IMP"), ("CMP",), ("APR",))
-    pshap = {b: partition_shapley(g, sem, b, blocks, "D", cache=cache).value
-             for b in blocks}
+    pshap = {b: game.partition_shapley(b, blocks).value for b in blocks}
     total = sum(pshap.values())
     delta = sigma_d - g.initial_strength["D"]
     out.append(_near(fid, "partition Shapley blocks sum to sigma(D)-tau(D)",
@@ -414,26 +409,16 @@ def _cf_claims(fid: str, sem_name: str, fn_id: str, members: tuple[str, ...],
     the topic by `delta`, and the checker flags the disagreement."""
     g = fixture(fid)
     sem = PRESETS[sem_name]
-    cache = EvaluationCache(g, sem)
-    if fn_id == "intrinsic":
-        obs = intrinsic_removal(g, sem, members, topic, cache=cache).value
-    elif fn_id == "shapley":
-        obs = shapley(g, sem, members, topic, cache=cache).value
-    else:
-        obs = gradient(g, sem, members, topic, psi=Psi.MAX).value
-    full = cache.sigma_without(frozenset())[topic]
-    reduced = cache.sigma_without(frozenset(members))[topic]
-    obs_delta = full - reduced
+    game = CoalitionGame(g, sem, topic)
+    obs = game.contribution(fn_id, members).value
+    obs_delta = game.removal(members).value
     label = "{" + ",".join(members) + "}"
     out = [
         _near(fid, f"{sem_name}: {fn_id} of {label} {note}", obs, value, value_tol),
         _near(fid, f"{sem_name}: removing {label} moves the topic by",
               obs_delta, delta, delta_tol),
         _violated(fid, f"{sem_name}: counterfactuality check flags {fn_id}",
-                  check_counterfactuality(
-                      "intrinsic" if fn_id == "intrinsic" else
-                      ("shapley" if fn_id == "shapley" else "gradient-max"),
-                      g, sem, topic)),
+                  check_counterfactuality(fn_id, g, sem, topic)),
     ]
     return out
 
@@ -513,16 +498,14 @@ def _claims_figA9() -> list[ClaimResult]:
     fid = "figA9"
     g = fixture(fid)
     sem = PRESETS["QE"]
-    cache = EvaluationCache(g, sem)
+    game = CoalitionGame(g, sem, "a")
     out = []
-    gd = gradient(g, sem, ("d",), "a", psi=Psi.MAX).value
-    dd = (cache.sigma_without(frozenset())["a"]
-          - cache.sigma_without(frozenset({"d"}))["a"])
+    gd = game.gradient(("d",), Psi.MAX).value
+    dd = game.removal(("d",)).value
     out.append(_near(fid, "QE: gradient-max of {d} is exactly zero", gd, 0.0, EXACT))
     out.append(_near(fid, "QE: removing {d} does not move the topic", dd, 0.0, EXACT))
-    gbc = gradient(g, sem, ("b", "c"), "a", psi=Psi.MAX).value
-    dbc = (cache.sigma_without(frozenset())["a"]
-           - cache.sigma_without(frozenset({"b", "c"}))["a"])
+    gbc = game.gradient(("b", "c"), Psi.MAX).value
+    dbc = game.removal(("b", "c")).value
     out.append(_near(fid, "QE: gradient-max of {b,c} regression", gbc,
                      0.03380331204851452, TIGHT))
     out.append(_near(fid, "QE: removing {b,c} does not move the topic", dbc,

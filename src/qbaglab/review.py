@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .contributions import (
-    DEFAULT_BUDGET,
-    EvaluationCache,
-    Psi,
-    gradient,
-    removal,
-    shapley,
-)
+from .contributions import DEFAULT_BUDGET, CoalitionGame, Psi
 from .errors import (
     ContributorError,
     GraphFormatError,
@@ -234,17 +227,15 @@ def report_contributions(
     if len(set(focus)) != len(focus):
         raise GraphFormatError("focus lists a duplicate aspect")
 
-    sem = REVIEW_SEMANTICS
-    cache = EvaluationCache(dg, sem)
+    game = CoalitionGame(dg, REVIEW_SEMANTICS, decision, budget)
 
     def row(label: str, members: tuple[str, ...]) -> ReviewRow:
         return ReviewRow(
             label=label,
             members=members,
-            removal=removal(dg, sem, members, decision, cache=cache).value,
-            shapley=shapley(dg, sem, members, decision,
-                            cache=cache, budget=budget).value,
-            gradient_max=gradient(dg, sem, members, decision, psi=Psi.MAX).value,
+            removal=game.removal(members).value,
+            shapley=game.shapley(members).value,
+            gradient_max=game.gradient(members, Psi.MAX).value,
         )
 
     focus_members = tuple(a for a in present if a in set(focus))
@@ -265,7 +256,7 @@ def report_contributions(
         + sum(by_label[a].gradient_max for a in non_focus),
     )
 
-    sigma_decision = cache.sigma_without(frozenset())[decision]
+    sigma_decision = game.value()
     rows = (focus_row, *singles, sum_row)
     return ReviewReport(
         decision_id=decision,

@@ -174,20 +174,24 @@ def _parent_map(g: Qbag) -> dict[str, list[tuple[str, int]]]:
     return parents
 
 
-def evaluate(g: Qbag, sem: Semantics) -> dict[str, float]:
-    """Final strength of every argument, one topological pass."""
+def node_strength(sem: Semantics, w: float, v: Sequence[int], s: Sequence[float]) -> float:
+    """Final strength of one argument with initial strength `w` whose parents
+    have polarities `v` and final strengths `s`; no parents means stability."""
+    if not v:
+        return w
+    return influence_value(sem.influence, w, aggregate(sem.aggregation, v, s))
+
+
+def evaluate(g: Qbag, sem) -> dict[str, float]:
+    """Final strength of every argument, one topological pass. `sem` is any
+    spec `semantics_from_spec` accepts."""
+    sem = semantics_from_spec(sem)
     parents = _parent_map(g)
     sigma: dict[str, float] = {}
     for node in topological_order(g):
         ps = parents[node]
-        if not ps:
-            sigma[node] = g.initial_strength[node]
-            continue
-        v = [pol for (_, pol) in ps]
-        s = [sigma[src] for (src, _) in ps]
-        sigma[node] = influence_value(
-            sem.influence, g.initial_strength[node], aggregate(sem.aggregation, v, s)
-        )
+        sigma[node] = node_strength(sem, g.initial_strength[node],
+                                    [pol for (_, pol) in ps], [sigma[src] for (src, _) in ps])
     return sigma
 
 
@@ -288,12 +292,13 @@ def _h_dual(x: float, dx: float, p: int) -> tuple[float, float]:
     return num / den, dnum / (den * den)
 
 
-def evaluate_dual(g: Qbag, sem: Semantics, seed: str) -> dict[str, Dual]:
+def evaluate_dual(g: Qbag, sem, seed: str) -> dict[str, Dual]:
     """Final strengths together with d(final strength)/d(tau(seed)).
 
     The value parts equal evaluate(g, sem); the derivative parts propagate
     through the aggregation/influence composition by the chain rule.
     """
+    sem = semantics_from_spec(sem)
     if seed not in g.arguments:
         from .errors import UnknownArgumentError
 
@@ -317,13 +322,13 @@ def evaluate_dual(g: Qbag, sem: Semantics, seed: str) -> dict[str, Dual]:
 # --- stability ----------------------------------------------------------------
 
 
-def check_stability(sem: Semantics, g: Qbag, tol: float = 1e-9, evaluator=evaluate) -> PrincipleVerdict:
+def check_stability(sem, g: Qbag, tol: float = 1e-9, evaluator=evaluate) -> PrincipleVerdict:
     """Edge-free arguments must keep their initial strength.
 
     `evaluator` is injectable so a deliberately broken semantics can serve
     as a negative control in tests.
     """
-    sigma = evaluator(g, sem)
+    sigma = evaluator(g, semantics_from_spec(sem))
     touched = {y for (_, y) in g.edges()}
     checked = 0
     for a in sorted(g.arguments):

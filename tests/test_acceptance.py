@@ -8,7 +8,6 @@ in for claims that quantify over all graphs. Run with -s to see the lines.
 import random
 
 from qbaglab.contributions import (
-    EvaluationCache,
     SingleKind,
     gradient,
     intrinsic_removal,
@@ -83,10 +82,9 @@ def test_acceptance_02_review_table():
 
 def test_acceptance_03_sign_inconsistency_example():
     g, sem = fixture("fig1a"), PRESETS["QE"]
-    cache = EvaluationCache(g, sem)
-    d = removal(g, sem, ("d",), "a", cache=cache).value
-    f = removal(g, sem, ("f",), "a", cache=cache).value
-    df = removal(g, sem, ("d", "f"), "a", cache=cache).value
+    d = removal(g, sem, ("d",), "a").value
+    f = removal(g, sem, ("f",), "a").value
+    df = removal(g, sem, ("d", "f"), "a").value
     ok = d < -TIGHT and f < -TIGHT and df > TIGHT
     _criterion(3, ok,
                f"removal signs (d, f, both) = "
@@ -179,7 +177,6 @@ def test_acceptance_06_singles_match_singleton_sets():
         args = sorted(g.arguments)
         for name in PRESET_NAMES:
             sem = PRESETS[name]
-            cache = EvaluationCache(g, sem)
             for a in args:
                 for x in args:
                     if x == a:
@@ -187,10 +184,7 @@ def test_acceptance_06_singles_match_singleton_sets():
                     pairs += 1
                     for kind, set_fn in kinds:
                         single = single_contribution(kind, g, sem, x, a).value
-                        if set_fn is gradient:
-                            grouped = gradient(g, sem, (x,), a).value
-                        else:
-                            grouped = set_fn(g, sem, (x,), a, cache=cache).value
+                        grouped = set_fn(g, sem, (x,), a).value
                         worst = max(worst, abs(single - grouped))
     _criterion(6, worst <= TIGHT,
                f"500 graphs, 5 presets, {pairs} (x, a) pairs, 4 function "
@@ -238,8 +232,7 @@ def test_acceptance_08_reachability_split_partition():
         args = sorted(g.arguments)
         for name in PRESET_NAMES:
             sem = PRESETS[name]
-            cache = EvaluationCache(g, sem)
-            sigma = cache.sigma_without(())
+            sigma = evaluate(g, sem)
             for a in args:
                 others = g.arguments - {a}
                 if not others:
@@ -252,8 +245,7 @@ def test_acceptance_08_reachability_split_partition():
                     blocks.append(tuple(sorted(others - reach)))
                 delta = sigma[a] - g.initial_strength[a]
                 for fn in (removal, intrinsic_removal, shapley):
-                    total = sum(fn(g, sem, b, a, cache=cache).value
-                                for b in blocks)
+                    total = sum(fn(g, sem, b, a).value for b in blocks)
                     worst = max(worst, abs(total - delta))
                 splits += 1
     _criterion(8, worst <= TIGHT,
@@ -269,8 +261,7 @@ def test_acceptance_09_partition_shapley_efficiency():
     worst, partitions = 0.0, 0
     for g in corpus:
         args = sorted(g.arguments)
-        caches = {name: EvaluationCache(g, PRESETS[name])
-                  for name in PRESET_NAMES}
+        sigmas = {name: evaluate(g, PRESETS[name]) for name in PRESET_NAMES}
         for _ in range(3):
             a = rng.choice(args)
             others = [x for x in args if x != a]
@@ -286,12 +277,9 @@ def test_acceptance_09_partition_shapley_efficiency():
             blocks = tuple(tuple(b) for b in grouping.values())
             partitions += 1
             for name in PRESET_NAMES:
-                cache = caches[name]
-                delta = (cache.sigma_without(())[a]
-                         - g.initial_strength[a])
+                delta = sigmas[name][a] - g.initial_strength[a]
                 total = sum(
-                    partition_shapley(g, PRESETS[name], b, blocks, a,
-                                      cache=cache).value
+                    partition_shapley(g, PRESETS[name], b, blocks, a).value
                     for b in blocks)
                 worst = max(worst, abs(total - delta))
     _criterion(9, worst <= TIGHT,

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from qbaglab.contributions import (
     DEFAULT_BUDGET,
-    EvaluationCache,
     FUNCTION_IDS,
+    CoalitionGame,
     Partition,
     Psi,
     SetContributor,
@@ -33,7 +33,7 @@ from qbaglab.errors import (
     UnknownArgumentError,
 )
 from qbaglab.fixtures import fixture
-from qbaglab.graph import qbag
+from qbaglab.graph import detach_incoming, qbag, restrict
 from qbaglab.principles import random_qbag
 from qbaglab.semantics import PRESET_NAMES, PRESETS, evaluate
 
@@ -42,18 +42,16 @@ QE = PRESETS["QE"]
 
 def test_fig1a_removal_values():
     g = fixture("fig1a")
-    cache = EvaluationCache(g, QE)
-    assert removal(g, QE, ("d",), "a", cache=cache).value == -0.012530465952907854
-    assert removal(g, QE, ("f",), "a", cache=cache).value == -0.011009024857438043
-    assert removal(g, QE, ("d", "f"), "a", cache=cache).value == 0.008610357524313828
+    assert removal(g, QE, ("d",), "a").value == -0.012530465952907854
+    assert removal(g, QE, ("f",), "a").value == -0.011009024857438043
+    assert removal(g, QE, ("d", "f"), "a").value == 0.008610357524313828
 
 
 def test_table4_row_values():
     g = fixture("table4")
     sem = PRESETS["DFQuAD"]
-    cache = EvaluationCache(g, sem)
-    assert abs(removal(g, sem, ("NOV", "IMP"), "D", cache=cache).value - 0.045) < 5e-4
-    assert abs(shapley(g, sem, ("NOV", "IMP"), "D", cache=cache).value - 0.0475) <= 1e-12
+    assert abs(removal(g, sem, ("NOV", "IMP"), "D").value - 0.045) < 5e-4
+    assert abs(shapley(g, sem, ("NOV", "IMP"), "D").value - 0.0475) <= 1e-12
     assert gradient(g, sem, ("NOV", "IMP"), "D", psi=Psi.MAX).value == 0.2
 
 
@@ -82,15 +80,51 @@ def test_unknown_member_rejected():
         shapley(fixture("fig1a"), QE, ("zz",), "a")
 
 
-def test_cache_is_shared_and_idempotent():
+def test_game_is_shared_and_idempotent():
     g = fixture("fig1a")
-    cache = EvaluationCache(g, QE)
-    removal(g, QE, ("d",), "a", cache=cache)
-    first = cache.computed
-    removal(g, QE, ("d",), "a", cache=cache)
-    assert cache.computed == first
-    full = cache.sigma_without(frozenset())
-    assert full == evaluate(g, QE)
+    game = CoalitionGame(g, QE, "a")
+    first = game.removal(("d",))
+    computed = game.computed
+    again = game.removal(("d",))
+    assert game.computed == computed
+    assert again.value == first.value and again.evaluations == 0
+    assert game.value() == evaluate(g, QE)["a"]
+
+
+def test_evaluation_counts():
+    # `evaluations` counts distinct strength evaluations (dual passes included)
+    g = fixture("fig1a")
+    assert removal(g, QE, ("d",), "a").evaluations == 2
+    assert intrinsic_removal(g, QE, ("d",), "a").evaluations == 2
+    assert gradient(g, QE, ("d", "f"), "a").evaluations == 2
+    assert shapley(g, QE, ("d",), "a").evaluations == 32
+    assert shapley(g, QE, ("d", "f"), "a").evaluations == 16
+    assert shapley(fixture("table4"), PRESETS["DFQuAD"], ("NOV", "IMP"), "D").evaluations == 8
+    # z cannot reach a, so the 2^3 coalitions collapse to 4 distinct ones
+    sparse = qbag({"a": 0.5, "b": 0.4, "c": 0.7, "z": 0.9},
+                  attacks=[("b", "a")], supports=[("c", "a")])
+    assert shapley(sparse, QE, ("b",), "a").evaluations == 4
+    assert intrinsic_removal(sparse, QE, ("z",), "a").evaluations == 1
+
+
+def test_game_values_equal_plain_evaluation_on_random_graphs():
+    rng = random.Random(11)
+    grid = tuple(i / 10 for i in range(11))
+    for _ in range(120):
+        g = random_qbag(rng, n=rng.randint(2, 10), edge_prob=rng.choice((0.2, 0.4, 0.6)),
+                        grid=grid)
+        args = sorted(g.arguments)
+        for name in PRESET_NAMES:
+            sem = PRESETS[name]
+            topic = rng.choice(args)
+            game = CoalitionGame(g, sem, topic)
+            for _ in range(4):
+                removed = frozenset(x for x in args if x != topic and rng.random() < 0.4)
+                detached = frozenset(x for x in args if rng.random() < 0.4)
+                kept = restrict(g, g.arguments - removed)
+                assert game.value(game.mask(removed)) == evaluate(kept, sem)[topic]
+                assert (game.value(detached=game.mask(detached))
+                        == evaluate(detach_incoming(g, detached), sem)[topic])
 
 
 def test_gradient_psi_variants():
@@ -127,10 +161,7 @@ def test_shapley_budget_guard_and_monte_carlo_escape():
 def test_partition_shapley_efficiency_and_block_lookup():
     g = fixture("fig1a")
     blocks = (("b",), ("c", "d"), ("e", "f"))
-    cache = EvaluationCache(g, QE)
-    total = sum(
-        partition_shapley(g, QE, b, blocks, "a", cache=cache).value for b in blocks
-    )
+    total = sum(partition_shapley(g, QE, b, blocks, "a").value for b in blocks)
     delta = evaluate(g, QE)["a"] - g.initial_strength["a"]
     assert abs(total - delta) <= 1e-9
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbaglab.contributions import removal
+from qbaglab.contributions import CoalitionGame, removal
 from qbaglab.errors import PartitionSpaceError
 from qbaglab.fixtures import FIXTURES, fixture
 from qbaglab.graph import can_reach, qbag
@@ -11,7 +11,6 @@ from qbaglab.principles import (
     EXPECTED_VERDICTS,
     SET_FUNCTION_IDS,
     TABLE_PRINCIPLES,
-    EvalContext,
     SearchConfig,
     check_consistency,
     check_contribution_existence,
@@ -29,7 +28,7 @@ from qbaglab.principles import (
     topics_of,
     violation_fixture,
 )
-from qbaglab.semantics import PRESET_NAMES, PRESETS
+from qbaglab.semantics import PRESET_NAMES, PRESETS, evaluate
 from qbaglab.verdicts import Principle, Status
 
 QE = PRESETS["QE"]
@@ -225,14 +224,15 @@ def test_search_counterexample_reports_inconclusive_when_clean():
     assert "no violation" in v.witness.note
 
 
-def test_eval_context_memoizes_sigma_calls():
+def test_game_memoizes_set_values():
     g = fixture("fig1a")
-    ctx = EvalContext(g, QE)
-    before = ctx.cache.computed
-    ctx.set_value("removal", ("d",), "a")
-    mid = ctx.cache.computed
-    ctx.set_value("removal", ("d",), "a")
-    assert ctx.cache.computed == mid > before - 1
+    game = CoalitionGame(g, QE, "a")
+    before = game.computed
+    value = game.set_value("removal", ("d",))
+    mid = game.computed
+    assert game.set_value("removal", ("d",)) == value
+    assert game.computed == mid > before
+    assert game.value() == evaluate(g, QE)["a"]
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,6 +1,6 @@
 import pytest
 
-from qbaglab.contributions import EvaluationCache, intrinsic_removal, partition_shapley, removal
+from qbaglab.contributions import intrinsic_removal, partition_shapley, removal
 from qbaglab.errors import (
     ContributorError,
     GraphFormatError,
@@ -18,7 +18,7 @@ from qbaglab.review import (
     normalize_aspect,
     report_contributions,
 )
-from qbaglab.semantics import PRESETS
+from qbaglab.semantics import PRESETS, evaluate
 
 
 def fig8_model():
@@ -133,21 +133,18 @@ def test_sum_row_adds_focus_and_other_singletons():
 def test_intrinsic_equals_removal_on_decision_graph():
     dg = build_decision_graph(fig8_model())
     sem = PRESETS["DFQuAD"]
-    cache = EvaluationCache(dg, sem)
     for members in (("NOV", "IMP"), ("NOV",), ("IMP",), ("CMP",), ("APR",)):
-        r = removal(dg, sem, members, "D", cache=cache).value
-        i = intrinsic_removal(dg, sem, members, "D", cache=cache).value
+        r = removal(dg, sem, members, "D").value
+        i = intrinsic_removal(dg, sem, members, "D").value
         assert abs(r - i) <= 1e-12
 
 
 def test_partition_shapley_efficiency_on_decision_graph():
     dg = build_decision_graph(fig8_model())
     sem = PRESETS["DFQuAD"]
-    cache = EvaluationCache(dg, sem)
     blocks = (("NOV", "IMP"), ("CMP",), ("APR",))
-    total = sum(partition_shapley(dg, sem, b, blocks, "D", cache=cache).value
-                for b in blocks)
-    delta = cache.sigma_without(frozenset())["D"] - dg.initial_strength["D"]
+    total = sum(partition_shapley(dg, sem, b, blocks, "D").value for b in blocks)
+    delta = evaluate(dg, sem)["D"] - dg.initial_strength["D"]
     assert abs(total - delta) <= 1e-9
 
 

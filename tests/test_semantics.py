@@ -70,6 +70,17 @@ def test_semantics_from_spec_accepts_custom_dict():
     assert evaluate(g, sem) == evaluate(g, PRESETS["QE"])
 
 
+def test_entry_points_accept_every_semantics_spec():
+    g = fixture("fig1a")
+    qe = PRESETS["QE"]
+    custom = {"aggregation": "sum", "influence": {"kind": "pmax", "p": 2, "k": 1}}
+    for spec in ("QE", custom, qe):
+        assert evaluate(g, spec) == evaluate(g, qe)
+        assert evaluate_dual(g, spec, "d") == evaluate_dual(g, qe, "d")
+        verdict = check_stability(spec, g)
+        assert verdict.satisfied and verdict.checked == 2
+
+
 def test_semantics_from_spec_rejects_unknown():
     with pytest.raises(SemanticsError):
         semantics_from_spec("qe")  # case sensitive
