@@ -18,6 +18,7 @@ import sys
 from .contributions import (
     DEFAULT_BUDGET,
     FUNCTION_IDS,
+    CoalitionGame,
     apply_set_function,
     partition_shapley,
     shapley,
@@ -37,6 +38,7 @@ from .graph import Qbag, load_graph, validate
 from .principles import (
     TABLE_PRINCIPLES,
     SearchConfig,
+    _check_game,
     principle_from_name,
     random_corpus,
     run_check,
@@ -229,8 +231,12 @@ def cmd_principles(args) -> int:
         else:
             topic_list = topics_of(g)
         for topic in topic_list:
+            game = CoalitionGame(g, sem, topic, cfg.budget)  # shared by the table principles
             for principle in principles:
-                verdict = run_check(principle, args.function, g, sem, topic, cfg=cfg)
+                if principle in TABLE_PRINCIPLES:
+                    verdict = _check_game(principle, args.function, game, cfg)
+                else:
+                    verdict = run_check(principle, args.function, g, sem, topic, cfg=cfg)
                 any_violation |= verdict.status is Status.VIOLATED
                 results.append((gname, topic, verdict))
 

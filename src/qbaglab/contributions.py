@@ -19,6 +19,10 @@ All of them read one coalition game, `CoalitionGame`: v(S) is the topic's
 final strength once coalition S is removed (or detached). It compiles the
 topic's ancestor cone once and memoises v by bitmask, so a caller asking
 several questions about one (graph, semantics, topic) shares one game.
+Exact (partition) Shapley drops the null players, those outside the cone,
+before it enumerates: the budget caps 2^(k+1) for the k players left, and
+their coalitions are evaluated in one Gray-code walk that recomputes only
+the cone nodes a flipped player can reach.
 
 The single-argument functions are implemented independently of the set
 functions on purpose: agreement between `single_contribution(kind, ...)`
@@ -160,6 +164,15 @@ class CoalitionGame:
     arguments outside it cannot move the topic and get no bit, so coalitions
     that differ only in them share one memo entry. `computed` counts the
     distinct strength evaluations and dual passes this game has made.
+
+    Exact Shapley leaves out the players with no bit (null players: their
+    marginal contribution is always 0) and raises `BudgetError` when the
+    2^(k+1) coalitions of the k remaining players and the set exceed
+    `budget`; a set with no bit is worth 0. It fills the memo in one
+    Gray-code walk over those coalitions, recomputing at each step only the
+    nodes from the flipped player's first cone node on, then sums in the
+    order of itertools.combinations, so a game with no null players gives
+    the plain enumeration's value bit for bit.
     """
 
     def __init__(self, g: Qbag, sem, topic: str, budget: int = DEFAULT_BUDGET):
@@ -190,26 +203,50 @@ class CoalitionGame:
             out |= bit.get(a, 0)
         return out
 
+    def _update(self, vals: list[float], start: int, removed: int, detached: int = 0) -> float:
+        """Recompute the cone node strengths `vals[start:]` for the coalition
+        (`removed`, `detached`) and return the topic's. `vals[:start]` must
+        already hold that coalition's strengths."""
+        sem = self.semantics
+        nodes = self._cone[1]
+        for i in range(start, len(nodes)):
+            if removed >> i & 1:
+                vals[i] = 0.0  # never read: every edge out of it is cut
+                continue
+            w, parents = nodes[i]
+            cut = removed | ~detached if detached >> i & 1 else removed
+            live = [(j, pol) for j, pol in parents if not cut >> j & 1]
+            vals[i] = node_strength(sem, w, [pol for _, pol in live], [vals[j] for j, _ in live])
+        return vals[-1]
+
     def value(self, removed: int = 0, detached: int = 0) -> float:
         """Topic strength with the `removed` coalition deleted and the edges
         entering the `detached` coalition from outside cut (both masks)."""
-        nodes = self._cone[1]
-        key = removed | detached << len(nodes)
+        n = len(self._cone[1])
+        key = removed | detached << n
         hit = self._values.get(key)
         if hit is None:
-            sem = self.semantics
-            vals: list[float] = []
-            for i, (w, parents) in enumerate(nodes):
-                if removed >> i & 1:
-                    vals.append(0.0)  # never read: every edge out of it is cut
-                    continue
-                cut = removed | ~detached if detached >> i & 1 else removed
-                live = [(j, pol) for j, pol in parents if not cut >> j & 1]
-                vals.append(node_strength(sem, w, [pol for _, pol in live],
-                                          [vals[j] for j, _ in live]))
-            hit = self._values[key] = vals[-1]
+            hit = self._values[key] = self._update([0.0] * n, 0, removed, detached)
             self.computed += 1
         return hit
+
+    def _fill(self, players: Sequence[int]) -> None:
+        """Memoise v(S) for every coalition S of `players` (disjoint non-zero
+        masks) in one Gray-code walk; the player whose first cone node comes
+        latest flips most often."""
+        players = sorted(players, key=lambda p: p & -p, reverse=True)
+        firsts = [(p & -p).bit_length() - 1 for p in players]
+        vals = [0.0] * len(self._cone[1])
+        removed, dirty = 0, 0
+        for t in range(1 << len(players)):
+            if t:
+                k = (t & -t).bit_length() - 1
+                removed ^= players[k]
+                dirty = min(dirty, firsts[k])
+            if removed not in self._values:
+                self._values[removed] = self._update(vals, dirty, removed)
+                self.computed += 1
+                dirty = len(vals)
 
     def dual(self, x: str) -> float:
         """d(topic strength) / d(tau(x)), one forward-mode pass per member."""
@@ -248,19 +285,24 @@ class CoalitionGame:
         return self._result(value, f"gradient-{psi.value}", members, start)
 
     def _exact_shapley(self, member_mask: int, players: Sequence[int]) -> float:
-        """Shapley value of the player `member_mask` against `players` (masks),
-        summed in the order of itertools.combinations."""
+        """Shapley value of the player `member_mask` against `players` (masks,
+        null players dropped), summed in the order of itertools.combinations."""
+        if not member_mask:
+            return 0.0
+        players = [p for p in players if p]
         n = len(players)
         needed = 2 ** (n + 1)
         if needed > self.budget:
             raise BudgetError(needed, self.budget)
+        self._fill([*players, member_mask])
+        values = self._values
         value = 0.0
         denom = math.factorial(n + 1)
         for r in range(n + 1):
             weight = math.factorial(r) * math.factorial(n - r) / denom
             for combo in itertools.combinations(players, r):
                 coalition = sum(combo)
-                value += weight * (self.value(coalition) - self.value(coalition | member_mask))
+                value += weight * (values[coalition] - values[coalition | member_mask])
         return value
 
     def shapley(
@@ -277,17 +319,18 @@ class CoalitionGame:
             return self._result(0.0, "shapley", members, start)
         member_mask = self.mask(members)
         others = sorted(self.graph.arguments - members - {self.topic})
+        masks = [self.mask((x,)) for x in others]
         if not monte_carlo:
-            value = self._exact_shapley(member_mask, [self.mask((x,)) for x in others])
+            value = self._exact_shapley(member_mask, masks)
             return self._result(value, "shapley", members, start)
         m = len(others)
         rng = random.Random(seed)
         draws = []
         for _ in range(samples):
-            order = others[:]
+            order = masks[:]
             rng.shuffle(order)
             cut = rng.randint(0, m)  # position of the set player among m+1 slots
-            coalition = self.mask(order[:cut])
+            coalition = sum(order[:cut])
             draws.append(self.value(coalition) - self.value(coalition | member_mask))
         value = statistics.fmean(draws)
         err = statistics.stdev(draws) / math.sqrt(len(draws)) if len(draws) > 1 else None

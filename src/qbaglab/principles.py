@@ -8,8 +8,10 @@ to refute it. Violations, on the other hand, are hard facts and ship with a
 replayable witness.
 
 Each topic-level checker reads its values from one `CoalitionGame` for
-(graph, semantics, topic); the public `check_*` functions build that game,
-and `run_matrix` shares one per (graph, semantics, topic) across all cells.
+(graph, semantics, topic); the public `check_*` functions and `run_check`
+build that game, `run_matrix` shares one per (graph, semantics, topic)
+across all cells, and `qbaglab principles` one per (graph, topic) across
+the table principles.
 
 The matrix runner crosses the four set functions with the five semantics
 presets over the bundled fixture corpus plus a seeded random corpus and

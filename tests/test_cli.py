@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import qbaglab
 from qbaglab.cli import main
+from qbaglab.fixtures import fixture
+from qbaglab.principles import TABLE_PRINCIPLES, run_check, topics_of
 
 
 def run(capsys, *argv):
@@ -301,3 +307,31 @@ def test_reproduce_unknown_fixture(capsys):
 def test_reproduce_needs_target(capsys):
     code, _, _ = run(capsys, "reproduce")
     assert code == 2
+
+
+@pytest.mark.parametrize("fixture_id,function", [("fig1a", "shapley"), ("fig3", "removal")])
+def test_principles_all_matches_run_check(capsys, fixture_id, function):
+    # one game is shared by every table principle on a topic; the verdicts
+    # must be those of one run_check call per principle
+    code, out, _ = run(capsys, "principles", fixture_id, "--function", function,
+                       "--semantics", "QE", "--json")
+    assert code == 0
+    g = fixture(fixture_id)
+    expected = [
+        {"graph": fixture_id, "topic": topic, "principle": p.value,
+         "status": v.status.value, "checked": v.checked,
+         "witness": None if v.witness is None else v.witness.to_dict()}
+        for topic in topics_of(g) for p in TABLE_PRINCIPLES
+        for v in [run_check(p, function, g, "QE", topic)]
+    ]
+    assert json.loads(out)["results"] == json.loads(json.dumps(expected))
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(qbaglab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "qbaglab", "eval", "fig1a", "--semantics", "QE"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1] == "a: 0.3 -> 0.39  (0.3875178986219915)"

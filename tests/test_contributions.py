@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -156,6 +157,89 @@ def test_shapley_budget_guard_and_monte_carlo_escape():
     assert "Monte-Carlo" in str(err.value)
     mc = shapley(g, QE, ("n5",), "n0", monte_carlo=True, samples=40, seed=0)
     assert math.isfinite(mc.value)
+
+
+def test_budget_counts_only_players_that_reach_the_topic():
+    # 24 arguments, but only n1..n3 reach n0: 2^(2+1) coalitions for {n3}
+    taus = {f"n{i}": 0.1 * (i % 9) + 0.05 for i in range(24)}
+    attacks = [("n1", "n0"), ("n3", "n1")] + [(f"n{i+1}", f"n{i}") for i in range(4, 23)]
+    g = qbag(taus, attacks=attacks, supports=[("n2", "n0"), ("n0", "n4")])
+    r = shapley(g, QE, ("n3",), "n0", budget=DEFAULT_BUDGET)
+    cone = restrict(g, {"n0", "n1", "n2", "n3"})
+    assert r.value == shapley(cone, QE, ("n3",), "n0").value
+    assert r.evaluations == 8
+    with pytest.raises(BudgetError):
+        shapley(g, QE, ("n3",), "n0", budget=7)
+    # a set that cannot reach the topic is worth exactly 0, whatever the budget
+    assert shapley(g, QE, ("n9", "n20"), "n0", budget=1).value == 0.0
+
+
+def _enumerated_shapley(game, member_mask, players):
+    """The plain enumeration: every coalition of `players`, v read one at a
+    time, null players included."""
+    n = len(players)
+    value = 0.0
+    denom = math.factorial(n + 1)
+    for r in range(n + 1):
+        weight = math.factorial(r) * math.factorial(n - r) / denom
+        for combo in itertools.combinations(players, r):
+            coalition = sum(combo)
+            value += weight * (game.value(coalition) - game.value(coalition | member_mask))
+    return value
+
+
+def test_exact_shapley_equals_plain_enumeration_on_random_graphs():
+    rng = random.Random(23)
+    grid = tuple(i / 10 for i in range(11))
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        g = random_qbag(rng, n=rng.randint(2, 8), edge_prob=rng.choice((0.2, 0.4, 0.6)),
+                        grid=grid)
+        args = sorted(g.arguments)
+        for name in PRESET_NAMES:
+            topic = rng.choice(args)
+            others = [a for a in args if a != topic]
+            if not others:
+                continue
+            members = rng.sample(others, rng.randint(1, len(others)))
+            rest = sorted(set(others) - set(members))
+            groups = [[] for _ in rest]
+            for x in rest:
+                rng.choice(groups).append(x)
+            blocks = [members] + [b for b in groups if b]
+            game = CoalitionGame(g, PRESETS[name], topic)
+            ref = CoalitionGame(g, PRESETS[name], topic)
+            # a memo holding some coalitions already: the walk mixes hits and misses
+            for _ in range(3):
+                game.removal(x for x in others if rng.random() < 0.5)
+            queries = [
+                (game.shapley(members).value, [ref.mask((x,)) for x in rest]),
+                (game.partition_shapley(members, blocks).value,
+                 [ref.mask(b) for b in sorted(blocks[1:], key=sorted)]),
+            ]
+            member_mask = ref.mask(members)
+            for got, players in queries:
+                want = _enumerated_shapley(ref, member_mask, players)
+                no_null = member_mask != 0 and all(players)
+                seen[no_null] += 1
+                if no_null:
+                    assert got == want
+                else:
+                    assert abs(got - want) <= 1e-12
+    assert seen[True] >= 100 and seen[False] >= 100
+
+
+def test_monte_carlo_shapley_value_is_pinned():
+    r = shapley(fixture("fig6-qe"), QE, ("d",), "a", monte_carlo=True, samples=4000, seed=3)
+    assert (r.value, r.std_error) == (-0.0038401736520271342, 0.0002678628023427272)
+
+
+def test_repeated_exact_shapley_on_one_game_evaluates_nothing():
+    game = CoalitionGame(fixture("fig1a"), QE, "a")
+    first = game.shapley(("d",))
+    again = game.shapley(("d",))
+    assert first.evaluations == 32 and again.evaluations == 0
+    assert again.value == first.value
 
 
 def test_partition_shapley_efficiency_and_block_lookup():

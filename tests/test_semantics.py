@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbaglab.errors import InfluenceDomainError, SemanticsError
 from qbaglab.fixtures import fixture
@@ -178,9 +178,21 @@ def test_dual_of_seed_argument_is_one_when_parentless():
     assert duals["d"].deriv == 1.0
 
 
+# Seeds where the topic sits on a p-Max hinge whose aggregate is exactly 0
+# and moves with tau(x) (QE: p = 2; SD-DFQuAD: the product aggregate touches
+# 0 with zero slope). The strength is differentiable there with the dual's
+# derivative, but a central difference reads O(h) off it (h/2 for QE).
+@example(seed=1302, name="QE")
+@example(seed=100, name="QE")
+@example(seed=1123, name="SD-DFQuAD")
+@example(seed=1302, name="SD-DFQuAD")
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 5_000), name=st.sampled_from(PRESET_NAMES))
 def test_dual_matches_central_difference_at_interior_points(seed, name):
+    # The reference is a pair of second-order one-sided differences: each is
+    # O(h^2) accurate on its own side of a hinge at t. Where they disagree,
+    # the strength has a kink at t and no derivative to compare; elsewhere
+    # their mean is the derivative to within ~1e-8.
     g = rand_graph(seed, p=0.5)
     sem = PRESETS[name]
     h = 1e-5
@@ -188,15 +200,14 @@ def test_dual_matches_central_difference_at_interior_points(seed, name):
     base = evaluate(g, sem)
     for x in args:
         t = g.initial_strength[x]
-        if t - h < 0.0 or t + h > 1.0:
+        if t - 2 * h < 0.0 or t + 2 * h > 1.0:
             continue
         duals = evaluate_dual(g, sem, x)
-        up = evaluate(set_initial_strength(g, x, t + h), sem)
-        dn = evaluate(set_initial_strength(g, x, t - h), sem)
+        up, up2, dn, dn2 = (evaluate(set_initial_strength(g, x, t + k * h), sem)
+                            for k in (1, 2, -1, -2))
         for a in args:
-            forward = (up[a] - base[a]) / h
-            backward = (base[a] - dn[a]) / h
-            if abs(forward - backward) > 1e-4:
+            forward = (4 * up[a] - up2[a] - 3 * base[a]) / (2 * h)
+            backward = (3 * base[a] - 4 * dn[a] + dn2[a]) / (2 * h)
+            if abs(forward - backward) > 1e-6:
                 continue  # kink: strength not differentiable here
-            central = (up[a] - dn[a]) / (2 * h)
-            assert abs(duals[a].deriv - central) <= 1e-6
+            assert abs(duals[a].deriv - (forward + backward) / 2) <= 1e-6
