@@ -21,7 +21,6 @@ from .contributions import (
     CoalitionGame,
     apply_set_function,
     partition_shapley,
-    shapley,
     sign_map,
 )
 from .errors import (
@@ -150,15 +149,12 @@ def cmd_contrib(args) -> int:
         blocks = _split_partition(args.partition)
         result = partition_shapley(g, sem, members, blocks, args.topic,
                                    budget=budget)
-    elif args.function == "shapley":
-        result = shapley(g, sem, members, args.topic, budget=budget,
-                         monte_carlo=args.monte_carlo, samples=args.samples,
-                         seed=args.seed)
     else:
-        if args.monte_carlo:
+        if args.monte_carlo and args.function != "shapley":
             raise UsageError("--monte-carlo only makes sense with --function shapley")
         result = apply_set_function(args.function, g, sem, members, args.topic,
-                                    budget=budget)
+                                    budget=budget, monte_carlo=args.monte_carlo,
+                                    samples=args.samples, seed=args.seed)
     if args.json:
         _emit_json({
             "file": args.file,
@@ -377,9 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", help="fixture id or graph JSON path")
     p.add_argument("--random", help="random corpus spec like 'seed=7,n=5'")
     p.add_argument("--semantics", default="QE")
-    p.add_argument("--function", default="removal",
-                   choices=("removal", "intrinsic", "shapley", "gradient-max",
-                            "gradient-min", "gradient-maxabs"))
+    p.add_argument("--function", default="removal", choices=FUNCTION_IDS)
     p.add_argument("--principle", default="all",
                    help="principle name or 'all'")
     p.add_argument("--topic", default=None)

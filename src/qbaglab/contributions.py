@@ -47,7 +47,14 @@ from .errors import (
     TopicInSetError,
     UnknownArgumentError,
 )
-from .graph import Qbag, influencers, restrict, set_initial_strength, topological_order
+from .graph import (
+    Qbag,
+    detach_incoming,
+    influencers,
+    restrict,
+    set_initial_strength,
+    topological_order,
+)
 from .semantics import (
     Semantics,
     _parent_map,
@@ -61,10 +68,10 @@ DEFAULT_BUDGET = 2 ** 20
 SIGN_TOL = 1e-9
 
 
-def sign(value: float, tol: float = SIGN_TOL) -> int:
-    if value > tol:
+def sign(value: float) -> int:
+    if value > SIGN_TOL:
         return 1
-    if value < -tol:
+    if value < -SIGN_TOL:
         return -1
     return 0
 
@@ -310,9 +317,9 @@ class CoalitionGame:
         samples: int = 20_000, seed: int = 0,
     ) -> ContributionResult:
         """The set acts as one Shapley player; all other non-topic arguments
-        are singleton players. Exact enumeration unless it would blow the
-        budget, in which case `monte_carlo=True` switches to permutation
-        sampling."""
+        are singleton players. Exact enumeration by default, which raises
+        `BudgetError` rather than fall back to sampling; `monte_carlo=True`
+        always estimates from `samples` random permutations instead."""
         members = _check_contributor(self.graph, members, self.topic)
         start = self.computed
         if not members:
@@ -468,13 +475,15 @@ class SingleKind(str, Enum):
     GRADIENT = "gradient"
 
 
-#: which single-argument kind a set function is expected to agree with on
-#: singleton contributor sets
+#: the single-argument kind each set function is compared with on singleton
+#: contributor sets (the generalization principle)
 SINGLE_FOR_SET = {
     "removal": SingleKind.REMOVAL,
     "intrinsic": SingleKind.INTRINSIC_REMOVAL,
     "shapley": SingleKind.SHAPLEY,
     "gradient-max": SingleKind.GRADIENT,
+    "gradient-min": SingleKind.GRADIENT,
+    "gradient-maxabs": SingleKind.GRADIENT,
 }
 
 
@@ -497,14 +506,8 @@ def single_contribution(
         return _result(value, "single-removal", sem, {x}, topic, 2)
 
     if kind is SingleKind.INTRINSIC_REMOVAL:
-        stripped = Qbag(
-            arguments=g.arguments,
-            attacks=frozenset(e for e in g.attacks if e[1] != x),
-            supports=frozenset(e for e in g.supports if e[1] != x),
-            initial_strength=dict(g.initial_strength),
-        )
         value = (
-            evaluate(stripped, sem)[topic]
+            evaluate(detach_incoming(g, {x}), sem)[topic]
             - evaluate(restrict(g, g.arguments - {x}), sem)[topic]
         )
         return _result(value, "single-intrinsic", sem, {x}, topic, 2)
@@ -567,7 +570,6 @@ def sign_map(
     sweep: tuple[str, str],
     step: float = 0.05,
     function: str = "removal",
-    tol: float = SIGN_TOL,
 ) -> SignMap:
     """Sweep two arguments' initial strengths over a grid and record the sign
     of each listed set contribution at every grid point."""
@@ -596,7 +598,7 @@ def sign_map(
         for e2 in grid:
             g_mod = set_initial_strength(set_initial_strength(g, x1, e1), x2, e2)
             game = CoalitionGame(g_mod, sem, topic)
-            signs = tuple(sign(game.contribution(function, s).value, tol) for s in sets)
+            signs = tuple(sign(game.contribution(function, s).value) for s in sets)
             rows.append((e1, e2, signs))
     return SignMap(sweep=(x1, x2), step=step, labels=labels, rows=tuple(rows))
 

@@ -13,6 +13,14 @@ build that game, `run_matrix` shares one per (graph, semantics, topic)
 across all cells, and `qbaglab principles` one per (graph, topic) across
 the table principles.
 
+The checked sets come from one place, `_pool`: every non-empty subset of the
+candidate arguments while there are at most `MAX_SUBSET_ARGS` of them
+(`MAX_PAIR_ARGS` for consistency's pairs), otherwise `SAMPLE_SIZE` seeded
+random subsets (`2 * SAMPLE_SIZE` for the pairs), in which case a checker
+that finds nothing reports Inconclusive instead of Satisfied where the
+principle asks for a set to exist. Values are compared with the one
+tolerance `TOL`.
+
 The matrix runner crosses the four set functions with the five semantics
 presets over the bundled fixture corpus plus a seeded random corpus and
 compares the outcome of every (function, semantics, principle) cell against
@@ -37,7 +45,7 @@ from .contributions import (
     single_contribution,
 )
 from .errors import PartitionSpaceError
-from .graph import Qbag, can_reach, influencers, qbag, restrict
+from .graph import Qbag, influencers, qbag, restrict
 from .semantics import PRESET_NAMES, check_stability
 from .verdicts import Principle, PrincipleVerdict, Status, Witness
 
@@ -45,6 +53,10 @@ TOL = SIGN_TOL
 MAX_SUBSET_ARGS = 12
 MAX_PARTITION_ARGS = 10
 MAX_PAIR_ARGS = 7
+#: random subsets a checker draws once exhaustive enumeration is off the table
+SAMPLE_SIZE = 200
+#: the initial strengths of random graphs
+STRENGTH_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 SET_FUNCTION_IDS = ("removal", "intrinsic", "shapley", "gradient-max")
 
@@ -66,24 +78,30 @@ class SearchConfig:
 
     max_exhaustive_args: int = 6
     random_graphs: int = 200
-    strength_grid: tuple = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
     seed: int = 0
     budget: int = DEFAULT_BUDGET
-    sample_size: int = 200
 
 
-def _subsets(others: Sequence[str], include_empty: bool = False):
-    start = 0 if include_empty else 1
-    for r in range(start, len(others) + 1):
+def _subsets(others: Sequence[str]):
+    for r in range(1, len(others) + 1):
         yield from itertools.combinations(others, r)
 
 
-def _sample_subsets(others: Sequence[str], rng: random.Random, count: int):
-    """Random non-empty subsets, used when exhaustive enumeration is off the
-    table. Duplicates are fine; determinism is what matters."""
-    for _ in range(count):
-        r = rng.randint(1, len(others))
-        yield tuple(sorted(rng.sample(list(others), r)))
+def _sample(others: Sequence[str], rng: random.Random) -> tuple[str, ...]:
+    """One random non-empty subset, sorted."""
+    return tuple(sorted(rng.sample(list(others), rng.randint(1, len(others)))))
+
+
+def _pool(others: Sequence[str], cfg: SearchConfig, limit: int = MAX_SUBSET_ARGS,
+          count: int = SAMPLE_SIZE) -> tuple[Iterable[tuple[str, ...]], bool]:
+    """(the sets to check, whether they are all of them): every non-empty
+    subset of `others` while there are at most `limit`, else `count` random
+    ones drawn from `cfg.seed`. Duplicates are fine; determinism is what
+    matters."""
+    if len(others) <= limit:
+        return _subsets(others), True
+    rng = random.Random(cfg.seed)
+    return (_sample(others, rng) for _ in range(count)), False
 
 
 def enumerate_partitions(base: Iterable[str]):
@@ -123,24 +141,28 @@ def enumerate_partitions(base: Iterable[str]):
 # --- checkers -------------------------------------------------------------------
 
 
-def _on_game(checker, fn, g: Qbag, sem, a: str, cfg, tol, **kwargs) -> PrincipleVerdict:
+def _on_game(checker, fn, g: Qbag, sem, a: str, cfg, **kwargs) -> PrincipleVerdict:
     """Run a game-level checker on a fresh game for (g, sem, a)."""
     cfg = cfg or SearchConfig()
-    return checker(fn, CoalitionGame(g, sem, a, cfg.budget), cfg, tol, **kwargs)
+    return checker(fn, CoalitionGame(g, sem, a, cfg.budget), cfg, **kwargs)
 
 
-def check_generalization(fn_pair, g: Qbag, sem, *, tol: float = TOL) -> PrincipleVerdict:
+def check_generalization(
+    fn_pair, g: Qbag, sem, *, cfg: SearchConfig | None = None,
+) -> PrincipleVerdict:
     """Does the set function restricted to singletons agree with the matching
     single-argument function for every (contributor, topic) pair?"""
     single_kind, set_fn = fn_pair
+    cfg = cfg or SearchConfig()
     checked = 0
     for topic in sorted(g.arguments):
-        game = CoalitionGame(g, sem, topic)
+        game = CoalitionGame(g, sem, topic, cfg.budget)
         for x in sorted(g.arguments - {topic}):
-            single = single_contribution(single_kind, g, game.semantics, x, topic).value
+            single = single_contribution(
+                single_kind, g, game.semantics, x, topic, cfg.budget).value
             joint = game.set_value(set_fn, {x})
             checked += 1
-            if abs(single - joint) > tol:
+            if abs(single - joint) > TOL:
                 return PrincipleVerdict(
                     Principle.CTRB_GENERALIZATION,
                     Status.VIOLATED,
@@ -159,40 +181,31 @@ def check_generalization(fn_pair, g: Qbag, sem, *, tol: float = TOL) -> Principl
 
 def check_contribution_existence(
     fn, g: Qbag, sem, a: str, *, cfg: SearchConfig | None = None,
-    tol: float = TOL,
 ) -> PrincipleVerdict:
     """If the topic moved away from its initial strength, some contributor set
     must get a nonzero value."""
-    return _on_game(_contribution_existence, fn, g, sem, a, cfg, tol)
+    return _on_game(_contribution_existence, fn, g, sem, a, cfg)
 
 
-def _contribution_existence(
-    fn, game: CoalitionGame, cfg: SearchConfig, tol: float,
-) -> PrincipleVerdict:
+def _contribution_existence(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdict:
     g, a = game.graph, game.topic
     principle = Principle.CONTRIBUTION_EXISTENCE
     sigma_a = game.value()
     delta = sigma_a - g.initial_strength[a]
-    if abs(delta) <= tol:
+    if abs(delta) <= TOL:
         return PrincipleVerdict(
             principle, Status.SATISFIED, checked=0,
             witness=Witness(topic=a, sets=(), values={"sigma(a)": sigma_a},
                             note="vacuous: final equals initial"),
         )
-    others = sorted(g.arguments - {a})
-    exhaustive = len(others) <= MAX_SUBSET_ARGS
-    pool = (
-        _subsets(others)
-        if exhaustive
-        else _sample_subsets(others, random.Random(cfg.seed), cfg.sample_size)
-    )
+    pool, exhaustive = _pool(sorted(g.arguments - {a}), cfg)
     checked = 0
     largest = 0.0
     for xs in pool:
         value = game.set_value(fn, xs)
         checked += 1
         largest = max(largest, abs(value))
-        if abs(value) > tol:
+        if abs(value) > TOL:
             return PrincipleVerdict(
                 principle, Status.SATISFIED, checked=checked,
                 witness=Witness(topic=a, sets=(xs,),
@@ -214,43 +227,40 @@ def _contribution_existence(
 
 def check_quantitative_contribution_existence(
     fn, g: Qbag, sem, a: str, mode: str = "All", *, cfg: SearchConfig | None = None,
-    tol: float = TOL,
 ) -> PrincipleVerdict:
     """All-mode: every partition of the non-topic arguments must sum to
     sigma(a) - tau(a). Exists-mode: some partition must, with the
     reachability split tried first."""
-    return _on_game(_quantitative_contribution_existence, fn, g, sem, a, cfg, tol, mode=mode)
+    return _on_game(_quantitative_contribution_existence, fn, g, sem, a, cfg, mode=mode)
 
 
 def _quantitative_contribution_existence(
-    fn, game: CoalitionGame, cfg: SearchConfig, tol: float, mode: str = "All",
+    fn, game: CoalitionGame, cfg: SearchConfig, mode: str = "All",
 ) -> PrincipleVerdict:
     g, a = game.graph, game.topic
     mode = str(mode).lower()
     if mode not in ("all", "exists"):
         raise ValueError(f"mode must be 'All' or 'Exists', got {mode!r}")
-    principle = (
-        Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE
-        if mode == "all"
-        else Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE
-    )
     delta = game.value() - g.initial_strength[a]
     base = sorted(g.arguments - {a})
 
     def partition_sum(blocks) -> float:
         return sum(game.set_value(fn, b) for b in blocks)
 
+    def sets(blocks) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(sorted(b)) for b in blocks)
+
     if mode == "all":
+        principle = Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE
         checked = 0
         for blocks in enumerate_partitions(base):
             total = partition_sum(blocks)
             checked += 1
-            if abs(total - delta) > tol:
+            if abs(total - delta) > TOL:
                 return PrincipleVerdict(
                     principle, Status.VIOLATED, checked=checked,
                     witness=Witness(
-                        topic=a,
-                        sets=tuple(tuple(sorted(b)) for b in blocks),
+                        topic=a, sets=sets(blocks),
                         values={"sum over blocks": total, "sigma(a)-tau(a)": delta,
                                 "margin": abs(total - delta)},
                         graph=g,
@@ -258,88 +268,66 @@ def _quantitative_contribution_existence(
                 )
         return PrincipleVerdict(principle, Status.SATISFIED, checked=checked)
 
-    # Exists-mode: reachability split first.
+    # Exists-mode: the reachability split, then (if affordable) every partition.
+    principle = Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE
     reach = frozenset(influencers(g, a, include_topic=False))
-    rest = frozenset(base) - reach
-    candidates = [tuple(b for b in (reach, rest) if b)]
-    checked = 0
-    best_gap = None
-    best_blocks = ()
-    for blocks in candidates:
+    split = tuple(b for b in (reach, frozenset(base) - reach) if b)
+    exhaustive = len(base) <= MAX_PARTITION_ARGS
+    candidates = itertools.chain([split], enumerate_partitions(base) if exhaustive else ())
+    best_gap, best_blocks = None, ()
+    for checked, blocks in enumerate(candidates, 1):
         total = partition_sum(blocks)
-        checked += 1
         gap = abs(total - delta)
         if best_gap is None or gap < best_gap:
             best_gap, best_blocks = gap, blocks
-        if gap <= tol:
+        if gap <= TOL:
             return PrincipleVerdict(
                 principle, Status.SATISFIED, checked=checked,
                 witness=Witness(
-                    topic=a, sets=tuple(tuple(sorted(b)) for b in blocks),
+                    topic=a, sets=sets(blocks),
                     values={"sum over blocks": total, "sigma(a)-tau(a)": delta},
-                    note="reachability split",
+                    note="reachability split" if checked == 1 else "",
                 ),
             )
-    if len(base) <= MAX_PARTITION_ARGS:
-        for blocks in enumerate_partitions(base):
-            total = partition_sum(blocks)
-            checked += 1
-            gap = abs(total - delta)
-            if best_gap is None or gap < best_gap:
-                best_gap, best_blocks = gap, blocks
-            if gap <= tol:
-                return PrincipleVerdict(
-                    principle, Status.SATISFIED, checked=checked,
-                    witness=Witness(
-                        topic=a, sets=tuple(tuple(sorted(b)) for b in blocks),
-                        values={"sum over blocks": total, "sigma(a)-tau(a)": delta},
-                    ),
-                )
-        return PrincipleVerdict(
-            principle, Status.VIOLATED, checked=checked,
-            witness=Witness(
-                topic=a, sets=tuple(tuple(sorted(b)) for b in best_blocks),
-                values={"sigma(a)-tau(a)": delta, "closest partition gap": best_gap,
-                        "margin": best_gap},
-                graph=g,
-                note="no partition of the non-topic arguments sums to sigma-tau; "
-                     "witness sets show the closest one",
-            ),
-        )
-    return PrincipleVerdict(principle, Status.INCONCLUSIVE, checked=checked)
+    if not exhaustive:
+        return PrincipleVerdict(principle, Status.INCONCLUSIVE, checked=checked)
+    return PrincipleVerdict(
+        principle, Status.VIOLATED, checked=checked,
+        witness=Witness(
+            topic=a, sets=sets(best_blocks),
+            values={"sigma(a)-tau(a)": delta, "closest partition gap": best_gap,
+                    "margin": best_gap},
+            graph=g,
+            note="no partition of the non-topic arguments sums to sigma-tau; "
+                 "witness sets show the closest one",
+        ),
+    )
 
 
 def check_directionality(
     fn, g: Qbag, sem, a: str, *, cfg: SearchConfig | None = None,
-    tol: float = TOL,
 ) -> PrincipleVerdict:
     """Sets whose members cannot reach the topic must contribute exactly zero."""
-    return _on_game(_directionality, fn, g, sem, a, cfg, tol)
+    return _on_game(_directionality, fn, g, sem, a, cfg)
 
 
-def _directionality(
-    fn, game: CoalitionGame, cfg: SearchConfig, tol: float,
-) -> PrincipleVerdict:
+def _directionality(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdict:
     g, a = game.graph, game.topic
     principle = Principle.DIRECTIONALITY
-    unreachable = [x for x in sorted(g.arguments - {a}) if not can_reach(g, x, a)]
+    # an argument outside the topic's ancestor cone has no bit in the game
+    unreachable = [x for x in sorted(g.arguments - {a}) if not game.mask((x,))]
     if not unreachable:
         return PrincipleVerdict(
             principle, Status.SATISFIED, checked=0,
             witness=Witness(topic=a, sets=(), values={},
                             note="vacuous: every other argument reaches the topic"),
         )
-    exhaustive = len(unreachable) <= MAX_SUBSET_ARGS
-    pool = (
-        _subsets(unreachable)
-        if exhaustive
-        else _sample_subsets(unreachable, random.Random(cfg.seed), cfg.sample_size)
-    )
+    pool, _ = _pool(unreachable, cfg)
     checked = 0
     for xs in pool:
         value = game.set_value(fn, xs)
         checked += 1
-        if abs(value) > tol:
+        if abs(value) > TOL:
             return PrincipleVerdict(
                 principle, Status.VIOLATED, checked=checked,
                 witness=Witness(
@@ -354,15 +342,15 @@ def _directionality(
 
 def check_counterfactuality(
     fn, g: Qbag, sem, a: str, quantitative: bool = False, *,
-    cfg: SearchConfig | None = None, tol: float = TOL,
+    cfg: SearchConfig | None = None,
 ) -> PrincipleVerdict:
     """Sign (or value, in the quantitative variant) of S(X)(a) must match the
     change in the topic's strength caused by actually removing X."""
-    return _on_game(_counterfactuality, fn, g, sem, a, cfg, tol, quantitative=quantitative)
+    return _on_game(_counterfactuality, fn, g, sem, a, cfg, quantitative=quantitative)
 
 
 def _counterfactuality(
-    fn, game: CoalitionGame, cfg: SearchConfig, tol: float, quantitative: bool = False,
+    fn, game: CoalitionGame, cfg: SearchConfig, quantitative: bool = False,
 ) -> PrincipleVerdict:
     g, a = game.graph, game.topic
     principle = (
@@ -372,24 +360,15 @@ def _counterfactuality(
     others = sorted(g.arguments - {a})
     if not others:
         return PrincipleVerdict(principle, Status.SATISFIED, checked=0)
-    exhaustive = len(others) <= MAX_SUBSET_ARGS
-    pool = (
-        _subsets(others)
-        if exhaustive
-        else _sample_subsets(others, random.Random(cfg.seed), cfg.sample_size)
-    )
+    pool, _ = _pool(others, cfg)
     sigma_full = game.value()
     checked = 0
     for xs in pool:
         value = game.set_value(fn, xs)
         removal_delta = sigma_full - game.value(game.mask(xs))
         checked += 1
-        if quantitative:
-            bad = abs(value - removal_delta) > tol
-            margin = abs(value - removal_delta)
-        else:
-            bad = sign(value, tol) != sign(removal_delta, tol)
-            margin = abs(value - removal_delta)
+        margin = abs(value - removal_delta)
+        bad = margin > TOL if quantitative else sign(value) != sign(removal_delta)
         if bad:
             return PrincipleVerdict(
                 principle, Status.VIOLATED, checked=checked,
@@ -405,82 +384,75 @@ def _counterfactuality(
 
 def check_consistency(
     fn, g: Qbag, sem, a: str, *, cfg: SearchConfig | None = None,
-    tol: float = TOL,
 ) -> PrincipleVerdict:
     """Two sets agreeing in contribution sign must not flip the sign of their
     union."""
-    return _on_game(_consistency, fn, g, sem, a, cfg, tol)
+    return _on_game(_consistency, fn, g, sem, a, cfg)
 
 
-def _consistency(
-    fn, game: CoalitionGame, cfg: SearchConfig, tol: float,
-) -> PrincipleVerdict:
+def _consistency(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdict:
     g, a = game.graph, game.topic
     principle = Principle.CONSISTENCY
     others = sorted(g.arguments - {a})
     if not others:
         return PrincipleVerdict(principle, Status.SATISFIED, checked=0)
-
-    if len(others) <= MAX_PAIR_ARGS:
-        pool = [frozenset(xs) for xs in _subsets(others)]
-        pairs = itertools.combinations_with_replacement(range(len(pool)), 2)
-
-        def pair_iter():
-            for i, j in pairs:
-                yield pool[i], pool[j]
-    else:
-        rng = random.Random(cfg.seed)
-
-        def pair_iter():
-            for _ in range(cfg.sample_size):
-                yield (frozenset(next(_sample_subsets(others, rng, 1))),
-                       frozenset(next(_sample_subsets(others, rng, 1))))
-
+    pool, exhaustive = _pool(others, cfg, MAX_PAIR_ARGS, 2 * SAMPLE_SIZE)
+    sets = map(frozenset, pool)
+    # every unordered pair (with repeats) of the subsets, or consecutive samples
+    pairs = (itertools.combinations_with_replacement(list(sets), 2) if exhaustive
+             else zip(sets, sets))
     checked = 0
-    for x_set, y_set in pair_iter():
+    for x_set, y_set in pairs:
         vx, vy = game.set_value(fn, x_set), game.set_value(fn, y_set)
         vu = game.set_value(fn, x_set | y_set)
         checked += 1
-        if vx <= tol and vy <= tol and vu > tol:
-            bad, margin = True, vu
-        elif vx >= -tol and vy >= -tol and vu < -tol:
-            bad, margin = True, -vu
+        if vx <= TOL and vy <= TOL and vu > TOL:
+            margin = vu
+        elif vx >= -TOL and vy >= -TOL and vu < -TOL:
+            margin = -vu
         else:
-            bad, margin = False, 0.0
-        if bad:
-            return PrincipleVerdict(
-                principle, Status.VIOLATED, checked=checked,
-                witness=Witness(
-                    topic=a,
-                    sets=(tuple(sorted(x_set)), tuple(sorted(y_set)),
-                          tuple(sorted(x_set | y_set))),
-                    values={"S(X)(a)": vx, "S(Y)(a)": vy,
-                            "S(X∪Y)(a)": vu, "margin": margin},
-                    graph=g,
-                ),
-            )
+            continue
+        return PrincipleVerdict(
+            principle, Status.VIOLATED, checked=checked,
+            witness=Witness(
+                topic=a,
+                sets=(tuple(sorted(x_set)), tuple(sorted(y_set)),
+                      tuple(sorted(x_set | y_set))),
+                values={"S(X)(a)": vx, "S(Y)(a)": vy,
+                        "S(X∪Y)(a)": vu, "margin": margin},
+                graph=g,
+            ),
+        )
     return PrincipleVerdict(principle, Status.SATISFIED, checked=checked)
 
 
 def check_monotonicity(
     fn, g: Qbag, sem, a: str, *, cfg: SearchConfig | None = None,
-    tol: float = TOL,
 ) -> PrincipleVerdict:
     """Growing the contributor set must not shrink its contribution."""
-    return _on_game(_monotonicity, fn, g, sem, a, cfg, tol)
+    return _on_game(_monotonicity, fn, g, sem, a, cfg)
 
 
-def _monotonicity(
-    fn, game: CoalitionGame, cfg: SearchConfig, tol: float,
-) -> PrincipleVerdict:
+def _monotonicity(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdict:
     g, a = game.graph, game.topic
     principle = Principle.MONOTONICITY
     others = sorted(g.arguments - {a})
     if not others:
         return PrincipleVerdict(principle, Status.SATISFIED, checked=0)
 
+    def violation(x, y, vx, vy, note="") -> PrincipleVerdict:
+        return PrincipleVerdict(
+            principle, Status.VIOLATED, checked=checked,
+            witness=Witness(
+                topic=a, sets=(tuple(sorted(x)), tuple(sorted(y))),
+                values={"S(X)(a)": vx, "S(Y)(a)": vy, "margin": vx - vy},
+                graph=g, note=note,
+            ),
+        )
+
     checked = 0
     if len(others) <= MAX_SUBSET_ARGS:
+        # every pair X ⊂ Y, reading S(Y) once per Y
         n = len(others)
         for y_mask in range(1, 1 << n):
             y_set = frozenset(others[i] for i in range(n) if y_mask >> i & 1)
@@ -490,35 +462,18 @@ def _monotonicity(
                 x_set = frozenset(others[i] for i in range(n) if x_mask >> i & 1)
                 checked += 1
                 vx = game.set_value(fn, x_set)
-                if vx > vy + tol:
-                    return PrincipleVerdict(
-                        principle, Status.VIOLATED, checked=checked,
-                        witness=Witness(
-                            topic=a,
-                            sets=(tuple(sorted(x_set)), tuple(sorted(y_set))),
-                            values={"S(X)(a)": vx, "S(Y)(a)": vy,
-                                    "margin": vx - vy},
-                            graph=g,
-                            note="X ⊆ Y but S(X) > S(Y)",
-                        ),
-                    )
+                if vx > vy + TOL:
+                    return violation(x_set, y_set, vx, vy, "X ⊆ Y but S(X) > S(Y)")
                 x_mask = (x_mask - 1) & y_mask
     else:
         rng = random.Random(cfg.seed)
-        for _ in range(cfg.sample_size):
-            y = tuple(sorted(rng.sample(others, rng.randint(1, len(others)))))
-            x = tuple(sorted(rng.sample(y, rng.randint(1, len(y)))))
+        for _ in range(SAMPLE_SIZE):
+            y = _sample(others, rng)
+            x = _sample(y, rng)
             vx, vy = game.set_value(fn, x), game.set_value(fn, y)
             checked += 1
-            if vx > vy + tol:
-                return PrincipleVerdict(
-                    principle, Status.VIOLATED, checked=checked,
-                    witness=Witness(
-                        topic=a, sets=(x, y),
-                        values={"S(X)(a)": vx, "S(Y)(a)": vy, "margin": vx - vy},
-                        graph=g,
-                    ),
-                )
+            if vx > vy + TOL:
+                return violation(x, y, vx, vy)
     return PrincipleVerdict(principle, Status.SATISFIED, checked=checked)
 
 
@@ -551,7 +506,7 @@ def random_corpus(cfg: SearchConfig) -> list[Qbag]:
     for _ in range(cfg.random_graphs):
         n = rng.randint(2, cfg.max_exhaustive_args)
         p = rng.choice((0.2, 0.4, 0.6))
-        out.append(random_qbag(rng, n, p, cfg.strength_grid))
+        out.append(random_qbag(rng, n, p, STRENGTH_GRID))
     return out
 
 
@@ -572,7 +527,7 @@ _CHECKERS: dict[Principle, tuple] = {
 
 def _check_game(principle: Principle, fn, game: CoalitionGame, cfg: SearchConfig):
     checker, kwargs = _CHECKERS[principle]
-    return checker(fn, game, cfg, TOL, **kwargs)
+    return checker(fn, game, cfg, **kwargs)
 
 
 def principle_from_name(name) -> Principle:
@@ -606,25 +561,13 @@ def run_check(
     principle = principle_from_name(principle)
     if principle is Principle.STABILITY:
         return check_stability(sem, g)
+    cfg = cfg or SearchConfig()
     if principle is Principle.CTRB_GENERALIZATION:
         pair = (SINGLE_FOR_SET.get(fn, SingleKind.REMOVAL), fn)
-        return check_generalization(pair, g, sem)
+        return check_generalization(pair, g, sem, cfg=cfg)
     if a is None:
         raise ValueError(f"principle {principle.value} needs a topic argument")
-    cfg = cfg or SearchConfig()
     return _check_game(principle, fn, CoalitionGame(g, sem, a, cfg.budget), cfg)
-
-
-def _drop_edge(g: Qbag, edge, kind: str) -> Qbag:
-    attacks = set(g.attacks)
-    supports = set(g.supports)
-    (attacks if kind == "attack" else supports).discard(edge)
-    return Qbag(
-        arguments=g.arguments,
-        attacks=frozenset(attacks),
-        supports=frozenset(supports),
-        initial_strength=dict(g.initial_strength),
-    )
 
 
 def search_counterexample(
@@ -633,8 +576,6 @@ def search_counterexample(
     """Hunt for a violation over random graphs and shrink the first hit."""
     cfg = cfg or SearchConfig()
     principle = principle_from_name(principle)
-    rng = random.Random(cfg.seed)
-    examined = 0
 
     def violated_on(g: Qbag) -> PrincipleVerdict | None:
         for topic in sorted(g.arguments):
@@ -643,38 +584,29 @@ def search_counterexample(
                 return verdict
         return None
 
-    for _ in range(cfg.random_graphs):
-        n = rng.randint(2, cfg.max_exhaustive_args)
-        p = rng.choice((0.2, 0.4, 0.6))
-        g = random_qbag(rng, n, p, cfg.strength_grid)
-        examined += 1
-        verdict = violated_on(g)
-        if verdict is None:
-            continue
-        # Shrink: drop arguments, then edges, while the violation persists.
+    def shrink(g: Qbag, verdict: PrincipleVerdict, smaller_graphs):
+        """Take the first smaller graph that is still violated until none is."""
         improved = True
         while improved:
             improved = False
-            for arg in sorted(g.arguments):
-                if len(g.arguments) <= 2:
-                    break
-                smaller = restrict(g, g.arguments - {arg})
+            for smaller in smaller_graphs(g):
                 v2 = violated_on(smaller)
                 if v2 is not None:
                     g, verdict, improved = smaller, v2, True
                     break
-        improved = True
-        while improved:
-            improved = False
-            for kind, edges in (("attack", g.attacks), ("support", g.supports)):
-                for edge in sorted(edges):
-                    smaller = _drop_edge(g, edge, kind)
-                    v2 = violated_on(smaller)
-                    if v2 is not None:
-                        g, verdict, improved = smaller, v2, True
-                        break
-                if improved:
-                    break
+        return g, verdict
+
+    for examined, g in enumerate(random_corpus(cfg), 1):
+        verdict = violated_on(g)
+        if verdict is None:
+            continue
+        # Shrink: drop arguments, then edges, while the violation persists.
+        g, verdict = shrink(g, verdict, lambda h: (
+            restrict(h, h.arguments - {x}) for x in sorted(h.arguments)
+            if len(h.arguments) > 2))
+        g, verdict = shrink(g, verdict, lambda h: (
+            Qbag(h.arguments, h.attacks - {e}, h.supports - {e}, dict(h.initial_strength))
+            for e in [*sorted(h.attacks), *sorted(h.supports)]))
         return PrincipleVerdict(
             verdict.principle, verdict.status, verdict.witness,
             checked=verdict.checked + examined,
@@ -685,7 +617,7 @@ def search_counterexample(
             topic=None, sets=(), values={},
             note=f"no violation in {cfg.random_graphs} random graphs (seed {cfg.seed})",
         ),
-        checked=examined,
+        checked=cfg.random_graphs,
     )
 
 

@@ -322,7 +322,11 @@ def evaluate_dual(g: Qbag, sem, seed: str) -> dict[str, Dual]:
 # --- stability ----------------------------------------------------------------
 
 
-def check_stability(sem, g: Qbag, tol: float = 1e-9, evaluator=evaluate) -> PrincipleVerdict:
+#: how far an edge-free argument's final strength may sit from its initial one
+STABILITY_TOL = 1e-9
+
+
+def check_stability(sem, g: Qbag, evaluator=evaluate) -> PrincipleVerdict:
     """Edge-free arguments must keep their initial strength.
 
     `evaluator` is injectable so a deliberately broken semantics can serve
@@ -335,7 +339,7 @@ def check_stability(sem, g: Qbag, tol: float = 1e-9, evaluator=evaluate) -> Prin
         if a in touched:
             continue
         checked += 1
-        if abs(sigma[a] - g.initial_strength[a]) > tol:
+        if abs(sigma[a] - g.initial_strength[a]) > STABILITY_TOL:
             return PrincipleVerdict(
                 Principle.STABILITY,
                 Status.VIOLATED,

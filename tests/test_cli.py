@@ -209,6 +209,25 @@ def test_principles_needs_input(capsys):
     assert code == 2
 
 
+def test_principles_generalization_pairs_gradient_min_with_the_single_gradient(capsys):
+    # gradient-min of {x} is the single gradient of x, so nothing is violated
+    code, out, _ = run(capsys, "principles", "fig1a", "--principle", "generalization",
+                       "--function", "gradient-min", "--topic", "a",
+                       "--expect-satisfied")
+    assert code == 0
+    assert out.splitlines() == [
+        "fig1a topic=a CtrbGeneralization: SatisfiedOnInstance (checked 30)",
+        "no violation found",
+    ]
+
+
+def test_principles_generalization_respects_budget(capsys):
+    code, _, err = run(capsys, "principles", "fig1a", "--principle", "generalization",
+                       "--function", "shapley", "--topic", "a", "--budget", "2")
+    assert code == 5
+    assert "budget is 2" in err
+
+
 def test_signmap_stdout(capsys):
     code, out, _ = run(capsys, "signmap", "fig1a", "--function", "removal",
                        "--semantics", "QE", "--topic", "a",

@@ -10,6 +10,7 @@ from qbaglab.graph import can_reach, qbag
 from qbaglab.principles import (
     EXPECTED_VERDICTS,
     SET_FUNCTION_IDS,
+    STRENGTH_GRID,
     TABLE_PRINCIPLES,
     SearchConfig,
     check_consistency,
@@ -164,6 +165,67 @@ def test_generalization_matching_and_mismatched_pairs():
     assert ok.status is Status.SATISFIED and ok.checked > 0
     bad = check_generalization(("removal", "shapley"), fixture("fig4"), QE)
     assert bad.status is Status.VIOLATED
+
+
+def test_generalization_pairs_every_gradient_variant_with_the_single_gradient():
+    g = fixture("fig1a")
+    v = run_check(Principle.CTRB_GENERALIZATION, "gradient-min", g, QE, None)
+    assert v.status is Status.SATISFIED
+    # max-abs of {x} is |d sigma / d tau(x)|: it differs only where that is negative
+    v = run_check(Principle.CTRB_GENERALIZATION, "gradient-maxabs", g, QE, None)
+    assert v.status is Status.VIOLATED
+    assert v.witness.note == "SingleKind.GRADIENT vs gradient-maxabs"
+    assert v.witness.values["single"] < 0
+    assert v.witness.values["set({x})"] == -v.witness.values["single"]
+
+
+#: (status, checked, witness sets) of the table principles on the 14-argument
+#: graph below, topic j (6 influencers), where contribution existence,
+#: counterfactuality, consistency and monotonicity sample their sets and weak
+#: quantitative existence stops after the reachability split. The literals come
+#: from per-checker sampling code, so they pin the RNG calls of `_pool`.
+SAMPLED_VERDICTS = {
+    "removal": {
+        Principle.CONTRIBUTION_EXISTENCE:
+            ("SATISFIED", 1, (("a", "d", "e", "g", "h", "i", "n"),)),
+        Principle.DIRECTIONALITY: ("SATISFIED", 127, None),
+        Principle.COUNTERFACTUALITY: ("SATISFIED", 200, None),
+        Principle.QUANTITATIVE_COUNTERFACTUALITY: ("SATISFIED", 200, None),
+        Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE:
+            ("SATISFIED", 1, (("c", "f", "g", "h", "m", "n"),
+                              ("a", "b", "d", "e", "i", "k", "l"))),
+        Principle.CONSISTENCY: ("SATISFIED", 200, None),
+        Principle.MONOTONICITY:
+            ("VIOLATED", 8, (("b",), ("a", "b", "c", "d", "f", "g", "h", "i", "k", "l",
+                                      "m", "n"))),
+    },
+    "gradient-max": {
+        Principle.CONTRIBUTION_EXISTENCE:
+            ("SATISFIED", 1, (("a", "d", "e", "g", "h", "i", "n"),)),
+        Principle.DIRECTIONALITY: ("SATISFIED", 127, None),
+        Principle.COUNTERFACTUALITY:
+            ("VIOLATED", 2, (("a", "b", "c", "d", "e", "f", "g", "h", "i", "k", "l",
+                              "m", "n"),)),
+        Principle.QUANTITATIVE_COUNTERFACTUALITY:
+            ("VIOLATED", 1, (("a", "d", "e", "g", "h", "i", "n"),)),
+        Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE: ("INCONCLUSIVE", 1, None),
+        Principle.CONSISTENCY: ("SATISFIED", 200, None),
+        Principle.MONOTONICITY: ("SATISFIED", 200, None),
+    },
+}
+
+
+@pytest.mark.parametrize("fn", sorted(SAMPLED_VERDICTS))
+def test_sampled_branches_are_pinned(fn):
+    g = random_qbag(random.Random(14), 14, 0.2, STRENGTH_GRID)
+    for principle in TABLE_PRINCIPLES:
+        if principle is Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE:
+            with pytest.raises(PartitionSpaceError):
+                run_check(principle, fn, g, QE, "j")
+            continue
+        v = run_check(principle, fn, g, QE, "j")
+        sets = v.witness.sets if v.witness is not None else None
+        assert (v.status.name, v.checked, sets) == SAMPLED_VERDICTS[fn][principle], principle
 
 
 def test_run_check_dispatch_and_stability():
