@@ -10,25 +10,17 @@ from .contributions import (
     DEFAULT_BUDGET,
     CoalitionGame,
     ContributionResult,
-    GradientAggregator,
     Partition,
     Psi,
-    SetContributor,
     SignMap,
     apply_set_function,
     gradient,
     intrinsic_removal,
     partition_shapley,
-    pctrb_shapley,
     removal,
-    sctrb_gradient,
-    sctrb_intrinsic_removal,
-    sctrb_removal,
-    sctrb_shapley,
     shapley,
     sign_map,
     single_contribution,
-    single_ctrb,
     SingleKind,
 )
 from .errors import (

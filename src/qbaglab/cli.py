@@ -46,7 +46,6 @@ from .principles import (
 from .reproduce import run_all, run_some
 from .review import aspect_model, report_contributions
 from .semantics import PRESET_NAMES, evaluate, semantics_from_spec
-from .verdicts import Status
 
 BUDGET_ENV = "QBAGLAB_EVAL_BUDGET"
 
@@ -217,8 +216,9 @@ def cmd_principles(args) -> int:
     else:
         graphs = [(args.file, _load(args.file))]
 
+    table = [p for p in principles if p in TABLE_PRINCIPLES]
+    whole = [p for p in principles if p not in TABLE_PRINCIPLES]  # whole-graph checks
     results = []
-    any_violation = False
     for gname, g in graphs:
         if args.topic is not None:
             if args.topic not in g.arguments:
@@ -226,31 +226,21 @@ def cmd_principles(args) -> int:
             topic_list = [args.topic]
         else:
             topic_list = topics_of(g)
+        for principle in whole:
+            verdict = run_check(principle, args.function, g, sem, args.topic, cfg=cfg)
+            results.append((gname, args.topic or "*", verdict))
         for topic in topic_list:
             game = CoalitionGame(g, sem, topic, cfg.budget)  # shared by the table principles
-            for principle in principles:
-                if principle in TABLE_PRINCIPLES:
-                    verdict = _check_game(principle, args.function, game, cfg)
-                else:
-                    verdict = run_check(principle, args.function, g, sem, topic, cfg=cfg)
-                any_violation |= verdict.status is Status.VIOLATED
-                results.append((gname, topic, verdict))
+            for principle in table:
+                results.append((gname, topic, _check_game(principle, args.function, game, cfg)))
+    any_violation = any(v.violated for _, _, v in results)
 
     if args.json:
         _emit_json({
             "semantics": sem.label(),
             "function": args.function,
-            "results": [
-                {
-                    "graph": gname,
-                    "topic": topic,
-                    "principle": v.principle.value,
-                    "status": v.status.value,
-                    "checked": v.checked,
-                    "witness": None if v.witness is None else v.witness.to_dict(),
-                }
-                for gname, topic, v in results
-            ],
+            "results": [{"graph": gname, "topic": topic, **v.to_dict()}
+                        for gname, topic, v in results],
         })
     else:
         for gname, topic, v in results:

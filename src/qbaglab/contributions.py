@@ -53,11 +53,9 @@ from .graph import (
     influencers,
     restrict,
     set_initial_strength,
-    topological_order,
 )
 from .semantics import (
     Semantics,
-    _parent_map,
     evaluate,
     evaluate_dual,
     node_strength,
@@ -100,21 +98,6 @@ class ContributionResult:
     topic: str
     evaluations: int
     std_error: float | None = None
-
-
-@dataclass(frozen=True)
-class SetContributor:
-    """A contributor set paired with the topic it is measured against."""
-
-    members: frozenset
-    topic: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        if self.topic in self.members:
-            raise TopicInSetError(
-                f"topic {self.topic!r} must not be part of the contributor set"
-            )
 
 
 @dataclass(frozen=True)
@@ -197,10 +180,9 @@ class CoalitionGame:
         """(bit per cone argument, (tau, parents) per cone node)."""
         g = self.graph
         cone = influencers(g, self.topic, include_topic=True)
-        order = [a for a in topological_order(g) if a in cone]
+        order = [a for a in g.order if a in cone]
         index = {a: i for i, a in enumerate(order)}
-        parents = _parent_map(g)
-        nodes = [(g.initial_strength[a], tuple((index[src], pol) for src, pol in parents[a]))
+        nodes = [(g.initial_strength[a], tuple((index[src], pol) for src, pol in g.parents[a]))
                  for a in order]
         return {a: 1 << i for a, i in index.items()}, nodes
 
@@ -601,46 +583,3 @@ def sign_map(
             signs = tuple(sign(game.contribution(function, s).value) for s in sets)
             rows.append((e1, e2, signs))
     return SignMap(sweep=(x1, x2), step=step, labels=labels, rows=tuple(rows))
-
-
-# --- naming aliases ------------------------------------------------------------
-# Shorthand following the usual set-contribution notation: sctrb_* for set
-# functions, pctrb_* for the partition variant, single_ctrb for the
-# single-argument family. These take a SetContributor and accept preset names
-# in place of Semantics objects.
-
-GradientAggregator = Psi
-
-_SINGLE_KIND_ALIASES = {
-    "Removal": SingleKind.REMOVAL,
-    "IntrinsicRemoval": SingleKind.INTRINSIC_REMOVAL,
-    "Shapley": SingleKind.SHAPLEY,
-    "Gradient": SingleKind.GRADIENT,
-}
-
-
-def sctrb_removal(g, sem, contributor: SetContributor, **kw) -> ContributionResult:
-    return removal(g, sem, contributor.members, contributor.topic, **kw)
-
-
-def sctrb_intrinsic_removal(g, sem, contributor: SetContributor, **kw) -> ContributionResult:
-    return intrinsic_removal(g, sem, contributor.members, contributor.topic, **kw)
-
-
-def sctrb_shapley(g, sem, contributor: SetContributor, **kw) -> ContributionResult:
-    return shapley(g, sem, contributor.members, contributor.topic, **kw)
-
-
-def sctrb_gradient(g, sem, contributor: SetContributor,
-                   psi: Psi = Psi.MAX) -> ContributionResult:
-    return gradient(g, sem, contributor.members, contributor.topic, psi=psi)
-
-
-def pctrb_shapley(g, sem, members, partition, topic, **kw) -> ContributionResult:
-    blocks = partition.blocks if isinstance(partition, Partition) else partition
-    return partition_shapley(g, sem, members, blocks, topic, **kw)
-
-
-def single_ctrb(kind, g, sem, x, topic, **kw) -> ContributionResult:
-    kind = _SINGLE_KIND_ALIASES.get(kind, kind)
-    return single_contribution(kind, g, sem, x, topic, **kw)

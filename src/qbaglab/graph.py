@@ -3,7 +3,15 @@
 A graph couples a finite argument set with two disjoint edge relations
 (attacks and supports) and an initial strength in [0, 1] per argument.
 All surgery operations (restriction, edge detachment, strength updates)
-return fresh graphs; nothing here mutates.
+return fresh graphs; nothing here mutates. A graph is hashable, and equal
+graphs hash alike.
+
+This module is the one place that reads adjacency off the edge sets. Each
+graph derives it once, on first use: `parents` maps every argument to its
+sorted (id, polarity) pairs and `order` is its `topological_order`. Every
+reader (the evaluators, `influencers`, the coalition game) walks those. An
+edge whose endpoint is not an argument raises `UnknownArgumentError` the
+first time `parents` is read; `validate` reports it with every other breach.
 """
 
 from __future__ import annotations
@@ -11,6 +19,9 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -31,12 +42,35 @@ class Qbag:
     supports: frozenset[Edge]
     initial_strength: Mapping[ArgumentId, float]
 
-    def parents_of(self, a: ArgumentId) -> list[tuple[ArgumentId, int]]:
-        """Attackers and supporters of `a` as (id, polarity) with -1/+1."""
-        out = [(x, -1) for (x, y) in self.attacks if y == a]
-        out += [(x, +1) for (x, y) in self.supports if y == a]
-        out.sort()
-        return out
+    def __post_init__(self):
+        # a read-only view of a private copy, so the graph cannot change
+        object.__setattr__(self, "initial_strength",
+                           MappingProxyType(dict(self.initial_strength)))
+
+    def __hash__(self) -> int:
+        return hash((self.arguments, self.attacks, self.supports,
+                     frozenset(self.initial_strength.items())))
+
+    @cached_property
+    def parents(self) -> Mapping[ArgumentId, tuple[tuple[ArgumentId, int], ...]]:
+        """Attackers and supporters of each argument as sorted (id, polarity)
+        pairs, -1 for an attack and +1 for a support. Raises
+        UnknownArgumentError, naming every unknown endpoint, if an edge
+        leaves the argument set."""
+        parents: dict[ArgumentId, list[tuple[ArgumentId, int]]] = {a: [] for a in self.arguments}
+        for pol, edges in ((-1, self.attacks), (+1, self.supports)):
+            for x, y in edges:
+                if x not in parents or y not in parents:
+                    _require_known(self, chain(*self.attacks, *self.supports))
+                parents[y].append((x, pol))
+        for ps in parents.values():
+            ps.sort()
+        return MappingProxyType({a: tuple(ps) for a, ps in parents.items()})
+
+    @cached_property
+    def order(self) -> tuple[ArgumentId, ...]:
+        """`topological_order(self)`, computed once."""
+        return tuple(topological_order(self))
 
     def edges(self) -> frozenset[Edge]:
         return self.attacks | self.supports
@@ -201,7 +235,7 @@ def detach_incoming(g: Qbag, x_set: Iterable[ArgumentId]) -> Qbag:
         arguments=g.arguments,
         attacks=frozenset(e for e in g.attacks if keep_edge(e)),
         supports=frozenset(e for e in g.supports if keep_edge(e)),
-        initial_strength=dict(g.initial_strength),
+        initial_strength=g.initial_strength,
     )
 
 
@@ -210,7 +244,7 @@ def set_initial_strength(g: Qbag, x: ArgumentId, eps: float) -> Qbag:
     _require_known(g, [x])
     if not (0.0 <= eps <= 1.0):
         raise StrengthRangeError(x, eps)
-    tau = dict(g.initial_strength)
+    tau = g.initial_strength.copy()
     tau[x] = float(eps)
     return Qbag(g.arguments, g.attacks, g.supports, tau)
 
@@ -218,12 +252,11 @@ def set_initial_strength(g: Qbag, x: ArgumentId, eps: float) -> Qbag:
 def topological_order(g: Qbag) -> list[ArgumentId]:
     """Kahn's algorithm with lexicographic tie-breaking, so the order is
     deterministic for a fixed graph. Raises CycleError on cyclic input."""
-    indeg = {a: 0 for a in g.arguments}
-    succ: dict[ArgumentId, list[ArgumentId]] = {a: [] for a in g.arguments}
-    for x, y in g.edges():
-        if x in indeg and y in indeg:
-            indeg[y] += 1
-            succ[x].append(y)
+    indeg = {a: len(ps) for a, ps in g.parents.items()}
+    succ: dict[ArgumentId, list[ArgumentId]] = {a: [] for a in indeg}
+    for b, ps in g.parents.items():
+        for a, _ in ps:
+            succ[a].append(b)
 
     ready = [a for a, d in indeg.items() if d == 0]
     heapq.heapify(ready)
@@ -244,39 +277,18 @@ def topological_order(g: Qbag) -> list[ArgumentId]:
 
 def can_reach(g: Qbag, x: ArgumentId, a: ArgumentId) -> bool:
     """True iff there is a directed path from x to a, or x == a."""
-    _require_known(g, [x, a])
-    if x == a:
-        return True
-    succ: dict[ArgumentId, set[ArgumentId]] = {n: set() for n in g.arguments}
-    for s, t in g.edges():
-        if s in succ:
-            succ[s].add(t)
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        node = frontier.pop()
-        for nxt in succ[node]:
-            if nxt == a:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return False
+    _require_known(g, [x])
+    return x == a or x in influencers(g, a)
 
 
 def influencers(g: Qbag, a: ArgumentId, include_topic: bool = False) -> set[ArgumentId]:
     """All arguments with a directed path to `a`; `a` itself iff include_topic."""
     _require_known(g, [a])
-    pred: dict[ArgumentId, set[ArgumentId]] = {n: set() for n in g.arguments}
-    for s, t in g.edges():
-        if t in pred:
-            pred[t].add(s)
     seen: set[ArgumentId] = set()
     frontier = [a]
     while frontier:
-        node = frontier.pop()
-        for src in pred[node]:
-            if src not in seen and src in g.arguments:
+        for src, _ in g.parents[frontier.pop()]:
+            if src not in seen:
                 seen.add(src)
                 frontier.append(src)
     seen.discard(a)

@@ -605,7 +605,7 @@ def search_counterexample(
             restrict(h, h.arguments - {x}) for x in sorted(h.arguments)
             if len(h.arguments) > 2))
         g, verdict = shrink(g, verdict, lambda h: (
-            Qbag(h.arguments, h.attacks - {e}, h.supports - {e}, dict(h.initial_strength))
+            Qbag(h.arguments, h.attacks - {e}, h.supports - {e}, h.initial_strength)
             for e in [*sorted(h.attacks), *sorted(h.supports)]))
         return PrincipleVerdict(
             verdict.principle, verdict.status, verdict.witness,
@@ -725,17 +725,6 @@ class MatrixCell:
     def ok(self) -> bool:
         return self.status != "MISMATCH"
 
-    def to_dict(self) -> dict:
-        return {
-            "fn": self.fn,
-            "semantics": self.semantics,
-            "principle": self.principle.value,
-            "status": self.status,
-            "expected": "satisfied" if self.expected_satisfied else "violated",
-            "fixture": self.fixture,
-            "witness": self.witness.to_dict() if self.witness else None,
-        }
-
 
 @dataclass(frozen=True)
 class MatrixReport:
@@ -748,39 +737,11 @@ class MatrixReport:
     def mismatches(self) -> list[MatrixCell]:
         return [c for c in self.cells if not c.ok]
 
-    def to_dict(self) -> dict:
-        return {"cells": [c.to_dict() for c in self.cells]}
-
-    def render(self) -> str:
-        lines = []
-        sems = list(dict.fromkeys(c.semantics for c in self.cells))
-        fns = list(dict.fromkeys(c.fn for c in self.cells))
-        index = {(c.principle, c.fn, c.semantics): c for c in self.cells}
-        width = max(len(f) for f in fns) + 2
-        for principle in dict.fromkeys(c.principle for c in self.cells):
-            lines.append(principle.value)
-            lines.append(" " * width + "  ".join(f"{s:>9}" for s in sems))
-            for fn in fns:
-                marks = []
-                for s in sems:
-                    cell = index.get((principle, fn, s))
-                    if cell is None:
-                        marks.append("-")
-                    elif not cell.ok:
-                        marks.append("?!")
-                    elif cell.expected_satisfied:
-                        marks.append("ok")
-                    else:
-                        marks.append("X")
-                lines.append(f"{fn:<{width}}" + "  ".join(f"{m:>9}" for m in marks))
-            lines.append("")
-        return "\n".join(lines)
-
 
 def topics_of(g: Qbag) -> list[str]:
     if len(g.arguments) <= 8:
         return sorted(g.arguments)
-    with_out = {e[0] for e in g.attacks | g.supports}
+    with_out = {src for ps in g.parents.values() for src, _ in ps}
     return sorted(g.arguments - with_out)
 
 
@@ -802,10 +763,10 @@ def run_matrix(
     randoms = random_corpus(cfg)
     corpus: list[Qbag] = [fixtures[k] for k in sorted(fixtures)] + randoms
 
-    games: dict[tuple[int, str, str], CoalitionGame] = {}
+    games: dict[tuple[Qbag, str, str], CoalitionGame] = {}
 
     def game_for(g: Qbag, sem_name: str, topic: str) -> CoalitionGame:
-        key = (id(g), sem_name, topic)
+        key = (g, sem_name, topic)  # equal graphs share one game
         if key not in games:
             games[key] = CoalitionGame(g, sem_name, topic, cfg.budget)
         return games[key]

@@ -120,10 +120,7 @@ def normalize_aspect(sigma: float):
 
 
 def _aspects_with_edges(model: AspectModel) -> set[str]:
-    touched = set()
-    for _, v in model.text.edges():
-        touched.add(v)
-    return {a for a in model.aspects if a in touched}
+    return {a for a in model.aspects if model.text.parents[a]}
 
 
 def build_decision_graph(model: AspectModel) -> Qbag:

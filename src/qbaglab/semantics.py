@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .errors import InfluenceDomainError, SemanticsError
-from .graph import Qbag, topological_order
+from .errors import InfluenceDomainError, SemanticsError, UnknownArgumentError
+from .graph import Qbag
 from .verdicts import Principle, PrincipleVerdict, Status, Witness
 
 
@@ -163,17 +163,6 @@ def _h(x: float, p: int) -> float:
     return hx / (1.0 + hx)
 
 
-def _parent_map(g: Qbag) -> dict[str, list[tuple[str, int]]]:
-    parents: dict[str, list[tuple[str, int]]] = {a: [] for a in g.arguments}
-    for x, y in g.attacks:
-        parents[y].append((x, -1))
-    for x, y in g.supports:
-        parents[y].append((x, +1))
-    for lst in parents.values():
-        lst.sort()
-    return parents
-
-
 def node_strength(sem: Semantics, w: float, v: Sequence[int], s: Sequence[float]) -> float:
     """Final strength of one argument with initial strength `w` whose parents
     have polarities `v` and final strengths `s`; no parents means stability."""
@@ -186,9 +175,9 @@ def evaluate(g: Qbag, sem) -> dict[str, float]:
     """Final strength of every argument, one topological pass. `sem` is any
     spec `semantics_from_spec` accepts."""
     sem = semantics_from_spec(sem)
-    parents = _parent_map(g)
+    parents = g.parents
     sigma: dict[str, float] = {}
-    for node in topological_order(g):
+    for node in g.order:
         ps = parents[node]
         sigma[node] = node_strength(sem, g.initial_strength[node],
                                     [pol for (_, pol) in ps], [sigma[src] for (src, _) in ps])
@@ -300,12 +289,10 @@ def evaluate_dual(g: Qbag, sem, seed: str) -> dict[str, Dual]:
     """
     sem = semantics_from_spec(sem)
     if seed not in g.arguments:
-        from .errors import UnknownArgumentError
-
         raise UnknownArgumentError([seed])
-    parents = _parent_map(g)
+    parents = g.parents
     out: dict[str, Dual] = {}
-    for node in topological_order(g):
+    for node in g.order:
         w = g.initial_strength[node]
         dw = 1.0 if node == seed else 0.0
         ps = parents[node]
@@ -333,10 +320,9 @@ def check_stability(sem, g: Qbag, evaluator=evaluate) -> PrincipleVerdict:
     as a negative control in tests.
     """
     sigma = evaluator(g, semantics_from_spec(sem))
-    touched = {y for (_, y) in g.edges()}
     checked = 0
     for a in sorted(g.arguments):
-        if a in touched:
+        if g.parents[a]:
             continue
         checked += 1
         if abs(sigma[a] - g.initial_strength[a]) > STABILITY_TOL:

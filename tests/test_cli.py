@@ -228,6 +228,25 @@ def test_principles_generalization_respects_budget(capsys):
     assert "budget is 2" in err
 
 
+@pytest.mark.parametrize("principle,name,checked", [
+    ("generalization", "CtrbGeneralization", 30), ("stability", "Stability", 2)])
+def test_principles_whole_graph_checks_run_once(capsys, principle, name, checked):
+    # without --topic, a whole-graph principle gives one result, topic "*"
+    code, out, _ = run(capsys, "principles", "fig1a", "--principle", principle,
+                       "--function", "shapley")
+    assert code == 0
+    assert out.splitlines() == [
+        f"fig1a topic=* {name}: SatisfiedOnInstance (checked {checked})",
+        "no violation found",
+    ]
+    code, out, _ = run(capsys, "principles", "fig1a", "--principle", principle,
+                       "--function", "shapley", "--json")
+    check_json(out)
+    results = json.loads(out)["results"]
+    assert [(r["topic"], r["principle"], r["checked"]) for r in results] == [
+        ("*", name, checked)]
+
+
 def test_signmap_stdout(capsys):
     code, out, _ = run(capsys, "signmap", "fig1a", "--function", "removal",
                        "--semantics", "QE", "--topic", "a",

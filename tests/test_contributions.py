@@ -11,20 +11,14 @@ from qbaglab.contributions import (
     CoalitionGame,
     Partition,
     Psi,
-    SetContributor,
     apply_set_function,
     gradient,
     intrinsic_removal,
     partition_shapley,
-    pctrb_shapley,
     removal,
-    sctrb_gradient,
-    sctrb_removal,
-    sctrb_shapley,
     shapley,
     sign_map,
     single_contribution,
-    single_ctrb,
     SingleKind,
 )
 from qbaglab.errors import (
@@ -72,8 +66,6 @@ def test_topic_inside_set_rejected():
     g = fixture("fig1a")
     with pytest.raises(TopicInSetError):
         removal(g, QE, ("a", "b"), "a")
-    with pytest.raises(TopicInSetError):
-        SetContributor(members=("a",), topic="a")
 
 
 def test_unknown_member_rejected():
@@ -289,34 +281,6 @@ def test_singles_agree_with_singleton_sets_spot():
                 single_contribution(SingleKind.GRADIENT, g, sem, x, "a").value
                 == gradient(g, sem, (x,), "a", psi=Psi.MAX).value
             )
-
-
-def test_single_ctrb_accepts_camelcase_names():
-    g = fixture("fig1a")
-    assert (
-        single_ctrb("IntrinsicRemoval", g, QE, "d", "a").value
-        == single_contribution(SingleKind.INTRINSIC_REMOVAL, g, QE, "d", "a").value
-    )
-    assert (
-        single_ctrb("Removal", g, QE, "d", "a").value
-        == single_contribution(SingleKind.REMOVAL, g, QE, "d", "a").value
-    )
-
-
-def test_alias_wrappers_match_core_functions():
-    g = fixture("fig1a")
-    c = SetContributor(members=("d", "f"), topic="a")
-    assert sctrb_removal(g, QE, c).value == removal(g, QE, ("d", "f"), "a").value
-    assert sctrb_shapley(g, QE, c).value == shapley(g, QE, ("d", "f"), "a").value
-    assert (
-        sctrb_gradient(g, QE, c).value
-        == gradient(g, QE, ("d", "f"), "a", psi=Psi.MAX).value
-    )
-    blocks = Partition(blocks=(("b",), ("c", "d"), ("e", "f")))
-    assert (
-        pctrb_shapley(g, QE, ("b",), blocks, "a").value
-        == partition_shapley(g, QE, ("b",), blocks.blocks, "a").value
-    )
 
 
 def test_apply_set_function_covers_all_ids():

@@ -3,6 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qbaglab.graph
+from qbaglab.contributions import gradient
 from qbaglab.errors import CycleError, StrengthRangeError, UnknownArgumentError
 from qbaglab.graph import (
     Qbag,
@@ -20,6 +22,7 @@ from qbaglab.graph import (
     validate,
 )
 from qbaglab.principles import random_qbag
+from qbaglab.semantics import evaluate, evaluate_dual
 import random
 
 
@@ -40,8 +43,45 @@ def test_builder_basics():
 
 def test_parents_sorted_with_polarity():
     g = small_graph()
-    assert g.parents_of("a") == [("b", -1), ("c", 1)]
-    assert g.parents_of("d") == []
+    assert g.parents["a"] == (("b", -1), ("c", 1))
+    assert g.parents["d"] == ()
+
+
+def test_order_is_computed_once_per_graph(monkeypatch):
+    calls = []
+    original = qbaglab.graph.topological_order
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(qbaglab.graph, "topological_order", counted)
+    g = small_graph()
+    evaluate(g, "QE")
+    evaluate_dual(g, "QE", "b")
+    evaluate_dual(g, "QE", "c")
+    gradient(g, "QE", ("b", "c"), "a")
+    assert len(calls) == 1
+    assert g.order == tuple(original(g)) == ("c", "d", "b", "a")
+
+
+def test_dangling_edge_raises_in_every_reader():
+    g = qbag({"a": 0.5, "b": 0.3}, attacks=[("b", "a"), ("z", "a")])
+    for read in (lambda: evaluate(g, "QE"), lambda: topological_order(g),
+                 lambda: influencers(g, "a")):
+        with pytest.raises(UnknownArgumentError) as info:
+            read()
+        assert info.value.ids == ("z",)
+
+
+def test_initial_strength_is_read_only():
+    tau = {"a": 0.5, "b": 0.3}
+    g = qbag(tau, attacks=[("b", "a")])
+    with pytest.raises(TypeError):
+        g.initial_strength["a"] = 0.9
+    tau["a"] = 0.9
+    assert g.initial_strength["a"] == 0.5
+    assert Qbag(g.arguments, g.attacks, g.supports, tau).initial_strength is not tau
 
 
 def test_validate_flags_strength_out_of_range():
@@ -143,6 +183,19 @@ def test_json_round_trip_bit_equal():
     assert h == g
     for a in g.arguments:
         assert h.initial_strength[a] == g.initial_strength[a]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_hash_and_eq_agree_across_json_round_trip(seed):
+    rng = random.Random(seed)
+    g = random_qbag(rng, n=rng.randint(2, 7), edge_prob=0.4,
+                    grid=tuple(i / 10 for i in range(11)))
+    h = graph_from_json(graph_to_json(g))
+    assert h == g and hash(h) == hash(g)
+    assert len({g, h}) == 1
+    other = set_initial_strength(g, "a", 0.05)  # off the strength grid
+    assert other != g and len({g, h, other}) == 2
 
 
 def test_json_keeps_full_float_precision():

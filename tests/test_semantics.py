@@ -130,7 +130,7 @@ def test_stability_detects_broken_evaluator():
 
     def broken(graph, sem):
         sigma = evaluate(graph, sem)
-        return {k: min(1.0, v + 0.25) if not graph.parents_of(k) else v
+        return {k: min(1.0, v + 0.25) if not graph.parents[k] else v
                 for k, v in sigma.items()}
 
     verdict = check_stability(PRESETS["QE"], g, evaluator=broken)
