@@ -19,6 +19,9 @@ All of them read one coalition game, `CoalitionGame`: v(S) is the topic's
 final strength once coalition S is removed (or detached). It compiles the
 topic's ancestor cone once and memoises v by bitmask, so a caller asking
 several questions about one (graph, semantics, topic) shares one game.
+Inside the game a contributor set is an int, its member mask over the
+sorted `players`, and `set_value(fn, mask)` is its one table of
+set-function values; names appear only where a method takes them.
 Exact (partition) Shapley drops the null players, those outside the cone,
 before it enumerates: the budget caps 2^(k+1) for the k players left, and
 their coalitions are evaluated in one Gray-code walk that recomputes only
@@ -118,16 +121,6 @@ class Partition:
             raise ContributorError("partition blocks must be pairwise disjoint")
 
 
-def _check_contributor(g: Qbag, members: Iterable[str], topic: str) -> frozenset[str]:
-    members = frozenset(members)
-    unknown = {x for x in members | {topic} if x not in g.arguments}
-    if unknown:
-        raise UnknownArgumentError(unknown)
-    if topic in members:
-        raise TopicInSetError(f"topic {topic!r} must not be part of the contributor set")
-    return members
-
-
 def _result(value, function, sem, members, topic, evaluations, std_error=None):
     return ContributionResult(
         value=value,
@@ -150,15 +143,22 @@ class CoalitionGame:
 
     The graph is compiled once, on first use: the topic's ancestor cone in
     topological order (the topic last), each node with its sorted parents as
-    (index, polarity) pairs. A coalition is an int bitmask over the cone;
-    arguments outside it cannot move the topic and get no bit, so coalitions
-    that differ only in them share one memo entry. `computed` counts the
-    distinct strength evaluations and dual passes this game has made.
+    (index, polarity) pairs. A coalition is a *cone mask*, an int with one
+    bit per cone argument; arguments outside the cone cannot move the topic
+    and get no bit, so coalitions that differ only in them share one memo
+    entry of `value()`. `computed` counts the distinct strength evaluations
+    and dual passes this game has made.
 
-    Exact Shapley leaves out the players with no bit (null players: their
-    marginal contribution is always 0) and raises `BudgetError` when the
-    2^(k+1) coalitions of the k remaining players and the set exceed
-    `budget`; a set with no bit is worth 0. It fills the memo in one
+    A contributor set is a *member mask*: bit i is `players[i]`, and
+    `names(m)` gives the set back as sorted names. `set_value(fn, m)` is
+    the one table of set-function values, keyed by (fn, member mask); the
+    methods that take names (`removal`, ..., `contribution`) validate them
+    and read it.
+
+    Exact Shapley leaves out the players with no cone bit (null players:
+    their marginal contribution is always 0) and raises `BudgetError` when
+    the 2^(k+1) coalitions of the k remaining players and the set exceed
+    `budget`; a set with no cone bit is worth 0. It fills the memo in one
     Gray-code walk over those coalitions, recomputing at each step only the
     nodes from the flipped player's first cone node on, then sums in the
     order of itertools.combinations, so a game with no null players gives
@@ -170,6 +170,8 @@ class CoalitionGame:
         self.semantics = semantics_from_spec(sem)
         self.topic = topic
         self.budget = budget
+        #: the non-topic arguments, sorted; bit i of a member mask is players[i]
+        self.players = tuple(sorted(g.arguments - {topic}))
         self._values: dict[int, float] = {}
         self._duals: dict[str, float] = {}
         self._set_values: dict[tuple, float] = {}
@@ -186,11 +188,41 @@ class CoalitionGame:
                  for a in order]
         return {a: 1 << i for a, i in index.items()}, nodes
 
+    def names(self, m: int) -> tuple[str, ...]:
+        """The players in member mask `m`, sorted; one step per member."""
+        out = []
+        while m:
+            low = m & -m
+            out.append(self.players[low.bit_length() - 1])
+            m ^= low
+        return tuple(out)
+
+    def _member_mask(self, members: Iterable[str]) -> int:
+        """The member mask of `members`; every name known, the topic not one."""
+        members = frozenset(members)
+        unknown = {x for x in members | {self.topic} if x not in self.graph.arguments}
+        if unknown:
+            raise UnknownArgumentError(unknown)
+        if self.topic in members:
+            raise TopicInSetError(
+                f"topic {self.topic!r} must not be part of the contributor set")
+        return sum(1 << self.players.index(x) for x in members)
+
     def mask(self, args: Iterable[str]) -> int:
+        """The cone mask of the arguments `args`."""
         bit, out = self._cone[0], 0
         for a in args:
             out |= bit.get(a, 0)
         return out
+
+    def _cone_mask(self, m: int) -> int:
+        """The cone mask of member mask `m`."""
+        return self.mask(self.names(m))
+
+    def _others(self, m: int) -> list[int]:
+        """The cone mask of each player outside member mask `m`, in order."""
+        bit = self._cone[0]
+        return [bit.get(x, 0) for i, x in enumerate(self.players) if not m >> i & 1]
 
     def _update(self, vals: list[float], start: int, removed: int, detached: int = 0) -> float:
         """Recompute the cone node strengths `vals[start:]` for the coalition
@@ -210,7 +242,7 @@ class CoalitionGame:
 
     def value(self, removed: int = 0, detached: int = 0) -> float:
         """Topic strength with the `removed` coalition deleted and the edges
-        entering the `detached` coalition from outside cut (both masks)."""
+        entering the `detached` coalition from outside cut (both cone masks)."""
         n = len(self._cone[1])
         key = removed | detached << n
         hit = self._values.get(key)
@@ -221,8 +253,8 @@ class CoalitionGame:
 
     def _fill(self, players: Sequence[int]) -> None:
         """Memoise v(S) for every coalition S of `players` (disjoint non-zero
-        masks) in one Gray-code walk; the player whose first cone node comes
-        latest flips most often."""
+        cone masks) in one Gray-code walk; the player whose first cone node
+        comes latest flips most often."""
         players = sorted(players, key=lambda p: p & -p, reverse=True)
         firsts = [(p & -p).bit_length() - 1 for p in players]
         vals = [0.0] * len(self._cone[1])
@@ -245,37 +277,9 @@ class CoalitionGame:
             self.computed += 1
         return hit
 
-    def _result(self, value, function, members, start, std_error=None):
-        return _result(value, function, self.semantics, members, self.topic,
-                       self.computed - start, std_error)
-
-    def removal(self, members: Iterable[str]) -> ContributionResult:
-        members = _check_contributor(self.graph, members, self.topic)
-        start = self.computed
-        value = self.value() - self.value(self.mask(members))
-        return self._result(value, "removal", members, start)
-
-    def intrinsic(self, members: Iterable[str]) -> ContributionResult:
-        members = _check_contributor(self.graph, members, self.topic)
-        start = self.computed
-        m = self.mask(members)
-        value = self.value(detached=m) - self.value(m)
-        return self._result(value, "intrinsic", members, start)
-
-    def gradient(self, members: Iterable[str], psi: Psi = Psi.MAX) -> ContributionResult:
-        members = _check_contributor(self.graph, members, self.topic)
-        if not members:
-            raise ContributorError(
-                "gradient-based contribution of the empty set is undefined "
-                "(nothing to aggregate)"
-            )
-        start = self.computed
-        value = psi.combine([self.dual(x) for x in sorted(members)])
-        return self._result(value, f"gradient-{psi.value}", members, start)
-
     def _exact_shapley(self, member_mask: int, players: Sequence[int]) -> float:
-        """Shapley value of the player `member_mask` against `players` (masks,
-        null players dropped), summed in the order of itertools.combinations."""
+        """Shapley value of the player `member_mask` against `players` (cone
+        masks; null players dropped), summed in itertools.combinations order."""
         if not member_mask:
             return 0.0
         players = [p for p in players if p]
@@ -294,6 +298,63 @@ class CoalitionGame:
                 value += weight * (values[coalition] - values[coalition | member_mask])
         return value
 
+    def set_value(self, fn, m: int) -> float:
+        """S(X)(topic) for the contributor set X with member mask `m`, read
+        from the game's one table of set-function values. `fn` is an id from
+        FUNCTION_IDS, or a callable (g, sem, members, topic) -> float for
+        negative-control experiments, given X as a frozenset of names. `m`
+        is not validated: the methods that take names do that."""
+        key = (fn, m)
+        hit = self._set_values.get(key)
+        if hit is None:
+            if callable(fn):
+                hit = fn(self.graph, self.semantics, frozenset(self.names(m)), self.topic)
+            elif fn in _GRADIENT_PSI:
+                if not m:
+                    raise ContributorError(
+                        "gradient-based contribution of the empty set is undefined "
+                        "(nothing to aggregate)"
+                    )
+                hit = _GRADIENT_PSI[fn].combine([self.dual(x) for x in self.names(m)])
+            elif fn == "removal":
+                hit = self.value() - self.value(self._cone_mask(m))
+            elif fn == "intrinsic":
+                cone = self._cone_mask(m)
+                hit = self.value(detached=cone) - self.value(cone)
+            elif fn == "shapley":
+                hit = self._exact_shapley(self._cone_mask(m), self._others(m))
+            else:
+                raise _unknown_function(fn)
+            self._set_values[key] = hit
+        return hit
+
+    def _result(self, value, function, m, start, std_error=None):
+        return _result(value, function, self.semantics, self.names(m), self.topic,
+                       self.computed - start, std_error)
+
+    def contribution(
+        self, fn_id: str, members: Iterable[str], monte_carlo: bool = False,
+        samples: int = 20_000, seed: int = 0,
+    ) -> ContributionResult:
+        """The set function named `fn_id` (one of FUNCTION_IDS) of the set
+        `members`; Shapley with `monte_carlo=True` samples, see `shapley`."""
+        if fn_id not in FUNCTION_IDS:
+            raise _unknown_function(fn_id)
+        if monte_carlo and fn_id == "shapley":
+            return self.shapley(members, monte_carlo=True, samples=samples, seed=seed)
+        m = self._member_mask(members)
+        start = self.computed
+        return self._result(self.set_value(fn_id, m), fn_id, m, start)
+
+    def removal(self, members: Iterable[str]) -> ContributionResult:
+        return self.contribution("removal", members)
+
+    def intrinsic(self, members: Iterable[str]) -> ContributionResult:
+        return self.contribution("intrinsic", members)
+
+    def gradient(self, members: Iterable[str], psi: Psi = Psi.MAX) -> ContributionResult:
+        return self.contribution(f"gradient-{psi.value}", members)
+
     def shapley(
         self, members: Iterable[str], monte_carlo: bool = False,
         samples: int = 20_000, seed: int = 0,
@@ -302,28 +363,26 @@ class CoalitionGame:
         are singleton players. Exact enumeration by default, which raises
         `BudgetError` rather than fall back to sampling; `monte_carlo=True`
         always estimates from `samples` random permutations instead."""
-        members = _check_contributor(self.graph, members, self.topic)
-        start = self.computed
-        if not members:
-            return self._result(0.0, "shapley", members, start)
-        member_mask = self.mask(members)
-        others = sorted(self.graph.arguments - members - {self.topic})
-        masks = [self.mask((x,)) for x in others]
         if not monte_carlo:
-            value = self._exact_shapley(member_mask, masks)
-            return self._result(value, "shapley", members, start)
-        m = len(others)
+            return self.contribution("shapley", members)
+        m = self._member_mask(members)
+        start = self.computed
+        if not m:
+            return self._result(0.0, "shapley", m, start)
+        member_mask = self._cone_mask(m)
+        masks = self._others(m)
+        n = len(masks)
         rng = random.Random(seed)
         draws = []
         for _ in range(samples):
             order = masks[:]
             rng.shuffle(order)
-            cut = rng.randint(0, m)  # position of the set player among m+1 slots
+            cut = rng.randint(0, n)  # position of the set player among n+1 slots
             coalition = sum(order[:cut])
             draws.append(self.value(coalition) - self.value(coalition | member_mask))
         value = statistics.fmean(draws)
         err = statistics.stdev(draws) / math.sqrt(len(draws)) if len(draws) > 1 else None
-        return self._result(value, "shapley", members, start, std_error=err)
+        return self._result(value, "shapley", m, start, std_error=err)
 
     def partition_shapley(
         self, members: Iterable[str], partition: Iterable[Iterable[str]],
@@ -331,7 +390,8 @@ class CoalitionGame:
         """Shapley value of the block `members` in the game whose players are
         the blocks of `partition` (which must partition all non-topic
         arguments)."""
-        members = _check_contributor(self.graph, members, self.topic)
+        m = self._member_mask(members)
+        members = frozenset(self.names(m))
         blocks = Partition(tuple(partition)).blocks
         if members not in blocks:
             raise ContributorError("the contributor set must be one of the partition blocks")
@@ -339,39 +399,13 @@ class CoalitionGame:
             raise ContributorError("partition blocks must cover exactly the non-topic arguments")
         start = self.computed
         others = sorted((b for b in blocks if b != members), key=sorted)
-        value = self._exact_shapley(self.mask(members), [self.mask(b) for b in others])
-        return self._result(value, "partition-shapley", members, start)
+        value = self._exact_shapley(self._cone_mask(m), [self.mask(b) for b in others])
+        return self._result(value, "partition-shapley", m, start)
 
-    def contribution(
-        self, fn_id: str, members: Iterable[str], monte_carlo: bool = False,
-        samples: int = 20_000, seed: int = 0,
-    ) -> ContributionResult:
-        """The set function named `fn_id` (one of FUNCTION_IDS)."""
-        if fn_id == "removal":
-            return self.removal(members)
-        if fn_id == "intrinsic":
-            return self.intrinsic(members)
-        if fn_id == "shapley":
-            return self.shapley(members, monte_carlo=monte_carlo, samples=samples, seed=seed)
-        if fn_id in _GRADIENT_PSI:
-            return self.gradient(members, _GRADIENT_PSI[fn_id])
-        raise ContributorError(
-            f"unknown contribution function {fn_id!r}; known: {', '.join(FUNCTION_IDS)}"
-        )
 
-    def set_value(self, fn, members: Iterable[str]) -> float:
-        """Memoised value of the set function `fn` for `members`: an id from
-        FUNCTION_IDS, or a callable (g, sem, members, topic) -> float for
-        negative-control experiments."""
-        key = (fn, frozenset(members))
-        hit = self._set_values.get(key)
-        if hit is None:
-            if callable(fn):
-                hit = fn(self.graph, self.semantics, key[1], self.topic)
-            else:
-                hit = self.contribution(fn, key[1]).value
-            self._set_values[key] = hit
-        return hit
+def _unknown_function(fn_id) -> ContributorError:
+    return ContributorError(
+        f"unknown contribution function {fn_id!r}; known: {', '.join(FUNCTION_IDS)}")
 
 
 # --- set contribution functions ----------------------------------------------
@@ -523,10 +557,6 @@ def single_contribution(
 # --- sign maps -----------------------------------------------------------------
 
 
-def set_label(members: Iterable[str]) -> str:
-    return ",".join(sorted(members))
-
-
 @dataclass(frozen=True)
 class SignMap:
     sweep: tuple[str, str]
@@ -566,8 +596,10 @@ def sign_map(
         raise UnknownArgumentError(unknown)
     if not (0.0 < step <= 0.5):
         raise ContributorError(f"grid step must be in (0, 0.5], got {step}")
-    sets = [_check_contributor(g, s, topic) for s in contributor_sets]
-    labels = tuple(set_label(s) for s in sets)
+    # every grid point has the same players, so one member mask per set serves all
+    base = CoalitionGame(g, sem, topic)
+    masks = [base._member_mask(s) for s in contributor_sets]
+    labels = tuple(",".join(base.names(m)) for m in masks)
 
     grid = []
     i = 0
@@ -580,6 +612,6 @@ def sign_map(
         for e2 in grid:
             g_mod = set_initial_strength(set_initial_strength(g, x1, e1), x2, e2)
             game = CoalitionGame(g_mod, sem, topic)
-            signs = tuple(sign(game.contribution(function, s).value) for s in sets)
+            signs = tuple(sign(game.set_value(function, m)) for m in masks)
             rows.append((e1, e2, signs))
     return SignMap(sweep=(x1, x2), step=step, labels=labels, rows=tuple(rows))

@@ -4,14 +4,17 @@ A graph couples a finite argument set with two disjoint edge relations
 (attacks and supports) and an initial strength in [0, 1] per argument.
 All surgery operations (restriction, edge detachment, strength updates)
 return fresh graphs; nothing here mutates. A graph is hashable, and equal
-graphs hash alike.
+graphs hash alike. The builders reject a strength outside [0, 1] or NaN
+(StrengthRangeError); the raw `Qbag(...)` constructor checks nothing, so
+that `validate` can report every breach at once.
 
 This module is the one place that reads adjacency off the edge sets. Each
-graph derives it once, on first use: `parents` maps every argument to its
-sorted (id, polarity) pairs and `order` is its `topological_order`. Every
-reader (the evaluators, `influencers`, the coalition game) walks those. An
-edge whose endpoint is not an argument raises `UnknownArgumentError` the
-first time `parents` is read; `validate` reports it with every other breach.
+graph derives it once, on first use, and a strength-only copy shares it:
+`parents` maps every argument to its sorted (id, polarity) pairs and
+`order` is its `topological_order`. Every reader (the evaluators,
+`influencers`, the coalition game) walks those. An edge whose endpoint is
+not an argument raises `UnknownArgumentError` the first time `parents` is
+read; `validate` reports it with every other breach.
 """
 
 from __future__ import annotations
@@ -81,13 +84,22 @@ def qbag(
     attacks: Iterable[Edge] = (),
     supports: Iterable[Edge] = (),
 ) -> Qbag:
-    """Build a Qbag from an id -> strength mapping plus edge lists."""
+    """Build a Qbag from an id -> strength mapping plus edge lists. Raises
+    StrengthRangeError for a strength outside [0, 1] or NaN."""
     return Qbag(
         arguments=frozenset(initial_strength),
         attacks=frozenset((str(s), str(t)) for s, t in attacks),
         supports=frozenset((str(s), str(t)) for s, t in supports),
-        initial_strength={str(k): float(v) for k, v in initial_strength.items()},
+        initial_strength={str(k): _strength(str(k), v) for k, v in initial_strength.items()},
     )
+
+
+def _strength(x: ArgumentId, value) -> float:
+    """`value` as a float, if it lies in [0, 1]; NaN does not."""
+    value = float(value)
+    if not (0.0 <= value <= 1.0):
+        raise StrengthRangeError(x, value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -240,13 +252,14 @@ def detach_incoming(g: Qbag, x_set: Iterable[ArgumentId]) -> Qbag:
 
 
 def set_initial_strength(g: Qbag, x: ArgumentId, eps: float) -> Qbag:
-    """Return a copy of `g` with tau(x) set to `eps`."""
+    """Return a copy of `g` with tau(x) set to `eps`. The edges are the
+    same, so the copy shares `g`'s `parents` and `order`."""
     _require_known(g, [x])
-    if not (0.0 <= eps <= 1.0):
-        raise StrengthRangeError(x, eps)
     tau = g.initial_strength.copy()
-    tau[x] = float(eps)
-    return Qbag(g.arguments, g.attacks, g.supports, tau)
+    tau[x] = _strength(x, eps)
+    h = Qbag(g.arguments, g.attacks, g.supports, tau)
+    h.__dict__.update(parents=g.parents, order=g.order)  # where cached_property keeps them
+    return h
 
 
 def topological_order(g: Qbag) -> list[ArgumentId]:
@@ -337,7 +350,7 @@ def graph_from_dict(doc: object) -> Qbag:
         strength = entry["initial_strength"]
         if not isinstance(strength, (int, float)) or isinstance(strength, bool):
             raise GraphFormatError(f"initial_strength of {aid!r} must be a number")
-        tau[aid] = float(strength)
+        tau[aid] = _strength(aid, strength)
 
     def parse_edges(key: str) -> list[Edge]:
         raw = doc.get(key, [])

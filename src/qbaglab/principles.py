@@ -11,7 +11,10 @@ Each topic-level checker reads its values from one `CoalitionGame` for
 (graph, semantics, topic); the public `check_*` functions and `run_check`
 build that game, `run_matrix` shares one per (graph, semantics, topic)
 across all cells, and `qbaglab principles` one per (graph, topic) across
-the table principles.
+the table principles. A checked set X is the game's member mask, an int
+(bit i is `game.players[i]`): unions are `x | y`, the subsets of y are
+walked with `(x - 1) & y`, values come from `game.set_value(fn, x)`, and
+names are built only for a witness, by `game.names`.
 
 The checked sets come from one place, `_pool`: every non-empty subset of the
 candidate arguments while there are at most `MAX_SUBSET_ARGS` of them
@@ -45,7 +48,7 @@ from .contributions import (
     single_contribution,
 )
 from .errors import PartitionSpaceError
-from .graph import Qbag, influencers, qbag, restrict
+from .graph import Qbag, qbag, restrict
 from .semantics import PRESET_NAMES, check_stability
 from .verdicts import Principle, PrincipleVerdict, Status, Witness
 
@@ -82,26 +85,32 @@ class SearchConfig:
     budget: int = DEFAULT_BUDGET
 
 
-def _subsets(others: Sequence[str]):
-    for r in range(1, len(others) + 1):
-        yield from itertools.combinations(others, r)
+def _player_bits(game: CoalitionGame) -> list[int]:
+    """The member mask of each player of `game` alone, in name order."""
+    return [1 << i for i in range(len(game.players))]
 
 
-def _sample(others: Sequence[str], rng: random.Random) -> tuple[str, ...]:
-    """One random non-empty subset, sorted."""
-    return tuple(sorted(rng.sample(list(others), rng.randint(1, len(others)))))
+def _subsets(bits: Sequence[int]):
+    """Every non-empty union of `bits`, by size, then in combinations order."""
+    for r in range(1, len(bits) + 1):
+        yield from map(sum, itertools.combinations(bits, r))
 
 
-def _pool(others: Sequence[str], cfg: SearchConfig, limit: int = MAX_SUBSET_ARGS,
-          count: int = SAMPLE_SIZE) -> tuple[Iterable[tuple[str, ...]], bool]:
-    """(the sets to check, whether they are all of them): every non-empty
-    subset of `others` while there are at most `limit`, else `count` random
-    ones drawn from `cfg.seed`. Duplicates are fine; determinism is what
-    matters."""
-    if len(others) <= limit:
-        return _subsets(others), True
+def _sample(bits: Sequence[int], rng: random.Random) -> int:
+    """One random non-empty union of `bits`."""
+    return sum(rng.sample(bits, rng.randint(1, len(bits))))
+
+
+def _pool(bits: Sequence[int], cfg: SearchConfig, limit: int = MAX_SUBSET_ARGS,
+          count: int = SAMPLE_SIZE) -> tuple[Iterable[int], bool]:
+    """(the member masks to check, whether they are all of them): every
+    non-empty union of the player `bits` while there are at most `limit`,
+    else `count` random ones drawn from `cfg.seed`. Duplicates are fine;
+    determinism is what matters."""
+    if len(bits) <= limit:
+        return _subsets(bits), True
     rng = random.Random(cfg.seed)
-    return (_sample(others, rng) for _ in range(count)), False
+    return (_sample(bits, rng) for _ in range(count)), False
 
 
 def enumerate_partitions(base: Iterable[str]):
@@ -157,10 +166,10 @@ def check_generalization(
     checked = 0
     for topic in sorted(g.arguments):
         game = CoalitionGame(g, sem, topic, cfg.budget)
-        for x in sorted(g.arguments - {topic}):
+        for i, x in enumerate(game.players):
             single = single_contribution(
                 single_kind, g, game.semantics, x, topic, cfg.budget).value
-            joint = game.set_value(set_fn, {x})
+            joint = game.set_value(set_fn, 1 << i)
             checked += 1
             if abs(single - joint) > TOL:
                 return PrincipleVerdict(
@@ -198,17 +207,17 @@ def _contribution_existence(fn, game: CoalitionGame, cfg: SearchConfig) -> Princ
             witness=Witness(topic=a, sets=(), values={"sigma(a)": sigma_a},
                             note="vacuous: final equals initial"),
         )
-    pool, exhaustive = _pool(sorted(g.arguments - {a}), cfg)
+    pool, exhaustive = _pool(_player_bits(game), cfg)
     checked = 0
     largest = 0.0
-    for xs in pool:
-        value = game.set_value(fn, xs)
+    for m in pool:
+        value = game.set_value(fn, m)
         checked += 1
         largest = max(largest, abs(value))
         if abs(value) > TOL:
             return PrincipleVerdict(
                 principle, Status.SATISFIED, checked=checked,
-                witness=Witness(topic=a, sets=(xs,),
+                witness=Witness(topic=a, sets=(game.names(m),),
                                 values={"S(X)(a)": value, "sigma(a)-tau(a)": delta}),
             )
     if exhaustive:
@@ -242,25 +251,24 @@ def _quantitative_contribution_existence(
     if mode not in ("all", "exists"):
         raise ValueError(f"mode must be 'All' or 'Exists', got {mode!r}")
     delta = game.value() - g.initial_strength[a]
-    base = sorted(g.arguments - {a})
+    bits = _player_bits(game)
+    # partitions of the players' bits; each block becomes a member mask
+    partitions = (tuple(map(sum, p)) for p in enumerate_partitions(bits))
 
     def partition_sum(blocks) -> float:
         return sum(game.set_value(fn, b) for b in blocks)
 
-    def sets(blocks) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(sorted(b)) for b in blocks)
-
     if mode == "all":
         principle = Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE
         checked = 0
-        for blocks in enumerate_partitions(base):
+        for blocks in partitions:
             total = partition_sum(blocks)
             checked += 1
             if abs(total - delta) > TOL:
                 return PrincipleVerdict(
                     principle, Status.VIOLATED, checked=checked,
                     witness=Witness(
-                        topic=a, sets=sets(blocks),
+                        topic=a, sets=tuple(map(game.names, blocks)),
                         values={"sum over blocks": total, "sigma(a)-tau(a)": delta,
                                 "margin": abs(total - delta)},
                         graph=g,
@@ -270,10 +278,10 @@ def _quantitative_contribution_existence(
 
     # Exists-mode: the reachability split, then (if affordable) every partition.
     principle = Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE
-    reach = frozenset(influencers(g, a, include_topic=False))
-    split = tuple(b for b in (reach, frozenset(base) - reach) if b)
-    exhaustive = len(base) <= MAX_PARTITION_ARGS
-    candidates = itertools.chain([split], enumerate_partitions(base) if exhaustive else ())
+    reach = sum(b for b, x in zip(bits, game.players) if game.mask((x,)))
+    split = tuple(b for b in (reach, sum(bits) - reach) if b)
+    exhaustive = len(bits) <= MAX_PARTITION_ARGS
+    candidates = itertools.chain([split], partitions if exhaustive else ())
     best_gap, best_blocks = None, ()
     for checked, blocks in enumerate(candidates, 1):
         total = partition_sum(blocks)
@@ -284,7 +292,7 @@ def _quantitative_contribution_existence(
             return PrincipleVerdict(
                 principle, Status.SATISFIED, checked=checked,
                 witness=Witness(
-                    topic=a, sets=sets(blocks),
+                    topic=a, sets=tuple(map(game.names, blocks)),
                     values={"sum over blocks": total, "sigma(a)-tau(a)": delta},
                     note="reachability split" if checked == 1 else "",
                 ),
@@ -294,7 +302,7 @@ def _quantitative_contribution_existence(
     return PrincipleVerdict(
         principle, Status.VIOLATED, checked=checked,
         witness=Witness(
-            topic=a, sets=sets(best_blocks),
+            topic=a, sets=tuple(map(game.names, best_blocks)),
             values={"sigma(a)-tau(a)": delta, "closest partition gap": best_gap,
                     "margin": best_gap},
             graph=g,
@@ -315,7 +323,7 @@ def _directionality(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerd
     g, a = game.graph, game.topic
     principle = Principle.DIRECTIONALITY
     # an argument outside the topic's ancestor cone has no bit in the game
-    unreachable = [x for x in sorted(g.arguments - {a}) if not game.mask((x,))]
+    unreachable = [b for b, x in zip(_player_bits(game), game.players) if not game.mask((x,))]
     if not unreachable:
         return PrincipleVerdict(
             principle, Status.SATISFIED, checked=0,
@@ -324,14 +332,14 @@ def _directionality(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerd
         )
     pool, _ = _pool(unreachable, cfg)
     checked = 0
-    for xs in pool:
-        value = game.set_value(fn, xs)
+    for m in pool:
+        value = game.set_value(fn, m)
         checked += 1
         if abs(value) > TOL:
             return PrincipleVerdict(
                 principle, Status.VIOLATED, checked=checked,
                 witness=Witness(
-                    topic=a, sets=(xs,),
+                    topic=a, sets=(game.names(m),),
                     values={"S(X)(a)": value, "margin": abs(value)},
                     graph=g,
                     note="no member of X reaches the topic, yet the value is nonzero",
@@ -357,15 +365,11 @@ def _counterfactuality(
         Principle.QUANTITATIVE_COUNTERFACTUALITY if quantitative
         else Principle.COUNTERFACTUALITY
     )
-    others = sorted(g.arguments - {a})
-    if not others:
-        return PrincipleVerdict(principle, Status.SATISFIED, checked=0)
-    pool, _ = _pool(others, cfg)
-    sigma_full = game.value()
+    pool, _ = _pool(_player_bits(game), cfg)
     checked = 0
-    for xs in pool:
-        value = game.set_value(fn, xs)
-        removal_delta = sigma_full - game.value(game.mask(xs))
+    for m in pool:
+        value = game.set_value(fn, m)
+        removal_delta = game.set_value("removal", m)
         checked += 1
         margin = abs(value - removal_delta)
         bad = margin > TOL if quantitative else sign(value) != sign(removal_delta)
@@ -373,7 +377,7 @@ def _counterfactuality(
             return PrincipleVerdict(
                 principle, Status.VIOLATED, checked=checked,
                 witness=Witness(
-                    topic=a, sets=(xs,),
+                    topic=a, sets=(game.names(m),),
                     values={"S(X)(a)": value, "removal delta": removal_delta,
                             "margin": margin},
                     graph=g,
@@ -393,18 +397,14 @@ def check_consistency(
 def _consistency(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdict:
     g, a = game.graph, game.topic
     principle = Principle.CONSISTENCY
-    others = sorted(g.arguments - {a})
-    if not others:
-        return PrincipleVerdict(principle, Status.SATISFIED, checked=0)
-    pool, exhaustive = _pool(others, cfg, MAX_PAIR_ARGS, 2 * SAMPLE_SIZE)
-    sets = map(frozenset, pool)
+    pool, exhaustive = _pool(_player_bits(game), cfg, MAX_PAIR_ARGS, 2 * SAMPLE_SIZE)
     # every unordered pair (with repeats) of the subsets, or consecutive samples
-    pairs = (itertools.combinations_with_replacement(list(sets), 2) if exhaustive
-             else zip(sets, sets))
+    pairs = (itertools.combinations_with_replacement(list(pool), 2) if exhaustive
+             else zip(pool, pool))
     checked = 0
-    for x_set, y_set in pairs:
-        vx, vy = game.set_value(fn, x_set), game.set_value(fn, y_set)
-        vu = game.set_value(fn, x_set | y_set)
+    for x, y in pairs:
+        vx, vy = game.set_value(fn, x), game.set_value(fn, y)
+        vu = game.set_value(fn, x | y)
         checked += 1
         if vx <= TOL and vy <= TOL and vu > TOL:
             margin = vu
@@ -416,8 +416,7 @@ def _consistency(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdict
             principle, Status.VIOLATED, checked=checked,
             witness=Witness(
                 topic=a,
-                sets=(tuple(sorted(x_set)), tuple(sorted(y_set)),
-                      tuple(sorted(x_set | y_set))),
+                sets=(game.names(x), game.names(y), game.names(x | y)),
                 values={"S(X)(a)": vx, "S(Y)(a)": vy,
                         "S(X∪Y)(a)": vu, "margin": margin},
                 graph=g,
@@ -436,40 +435,36 @@ def check_monotonicity(
 def _monotonicity(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdict:
     g, a = game.graph, game.topic
     principle = Principle.MONOTONICITY
-    others = sorted(g.arguments - {a})
-    if not others:
-        return PrincipleVerdict(principle, Status.SATISFIED, checked=0)
+    n = len(game.players)
 
     def violation(x, y, vx, vy, note="") -> PrincipleVerdict:
         return PrincipleVerdict(
             principle, Status.VIOLATED, checked=checked,
             witness=Witness(
-                topic=a, sets=(tuple(sorted(x)), tuple(sorted(y))),
+                topic=a, sets=(game.names(x), game.names(y)),
                 values={"S(X)(a)": vx, "S(Y)(a)": vy, "margin": vx - vy},
                 graph=g, note=note,
             ),
         )
 
     checked = 0
-    if len(others) <= MAX_SUBSET_ARGS:
+    if n <= MAX_SUBSET_ARGS:
         # every pair X ⊂ Y, reading S(Y) once per Y
-        n = len(others)
-        for y_mask in range(1, 1 << n):
-            y_set = frozenset(others[i] for i in range(n) if y_mask >> i & 1)
-            vy = game.set_value(fn, y_set)
-            x_mask = (y_mask - 1) & y_mask
-            while x_mask:
-                x_set = frozenset(others[i] for i in range(n) if x_mask >> i & 1)
+        for y in range(1, 1 << n):
+            vy = game.set_value(fn, y)
+            x = (y - 1) & y
+            while x:
                 checked += 1
-                vx = game.set_value(fn, x_set)
+                vx = game.set_value(fn, x)
                 if vx > vy + TOL:
-                    return violation(x_set, y_set, vx, vy, "X ⊆ Y but S(X) > S(Y)")
-                x_mask = (x_mask - 1) & y_mask
+                    return violation(x, y, vx, vy, "X ⊆ Y but S(X) > S(Y)")
+                x = (x - 1) & y
     else:
         rng = random.Random(cfg.seed)
+        bits = _player_bits(game)
         for _ in range(SAMPLE_SIZE):
-            y = _sample(others, rng)
-            x = _sample(y, rng)
+            y = _sample(bits, rng)
+            x = _sample([b for b in bits if y & b], rng)
             vx, vy = game.set_value(fn, x), game.set_value(fn, y)
             checked += 1
             if vx > vy + TOL:

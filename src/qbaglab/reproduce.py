@@ -317,11 +317,6 @@ _TABLE4_ROWS = {
 }
 
 
-def _table4_report():
-    model = aspect_model(fixture("fig8"), FIG8_MANIFEST)
-    return model, report_contributions(model, ("NOV", "IMP"))
-
-
 def _claims_table4() -> list[ClaimResult]:
     fid = "table4"
     g = fixture(fid)
@@ -373,7 +368,8 @@ _FIG8_TEXT_SIGMA = {
 def _claims_fig8() -> list[ClaimResult]:
     fid = "fig8"
     out = []
-    model, report = _table4_report()
+    model = aspect_model(fixture("fig8"), FIG8_MANIFEST)
+    report = report_contributions(model, ("NOV", "IMP"))
     sigma = evaluate_text_layer(model)
     for a, want in _FIG8_TEXT_SIGMA.items():
         out.append(_near(fid, f"text-layer strength of {a}", sigma[a], want, TIGHT))
@@ -423,15 +419,30 @@ def _cf_claims(fid: str, sem_name: str, fn_id: str, members: tuple[str, ...],
     return out
 
 
-def _claims_figA1() -> list[ClaimResult]:
-    out = []
-    deltas = {"QE": -0.19999999999999996, "DFQuAD": -1.0,
-              "SD-DFQuAD": -0.33333333333333326}
-    for name, d in deltas.items():
-        out += _cf_claims("figA1", name, "intrinsic", ("b",), "a",
-                          value=0.0, value_tol=EXACT, delta=d, delta_tol=TIGHT,
-                          note="is exactly zero")
-    return out
+#: the case studies that are nothing but `_cf_claims`: fixture -> rows of
+#: (semantics, function, members, topic, value, value_tol, delta, delta_tol, note)
+_CF_ROWS = {
+    "figA1": [
+        ("QE", "intrinsic", ("b",), "a", 0.0, EXACT, -0.19999999999999996, TIGHT,
+         "is exactly zero"),
+        ("DFQuAD", "intrinsic", ("b",), "a", 0.0, EXACT, -1.0, TIGHT, "is exactly zero"),
+        ("SD-DFQuAD", "intrinsic", ("b",), "a", 0.0, EXACT, -0.33333333333333326, TIGHT,
+         "is exactly zero"),
+    ],
+    "figA3": [("EBT", "intrinsic", ("b",), "a", 0.0, EXACT, -0.014506272286975541, TIGHT,
+               "is exactly zero")],
+    "figA4": [("QE", "shapley", ("e",), "a", 4.9326e-05, 1e-8, -0.0149, DISPLAY_3DP,
+               "is tiny but positive")],
+    "figA5": [("DFQuAD", "shapley", ("e",), "a", 0.0027, DISPLAY_4DP, -0.0049, DISPLAY_4DP,
+               "is small but positive")],
+    "figA7": [("EB", "shapley", ("f",), "a", 3.4380e-06, 1e-9, -7.8369e-05, 1e-9,
+               "is tiny but positive")],
+    "figA8": [("EBT", "shapley", ("f",), "a", -2.7043e-05, 1e-9, 7.3331e-05, 1e-9,
+               "is tiny but negative")],
+    "figA10": [("DFQuAD", "gradient-max", ("c",), "a", 0.0, TIGHT, -0.125, TIGHT, "is zero")],
+    "figA11": [("SD-DFQuAD", "gradient-max", ("b",), "a", -0.25, TIGHT, 0.0, EXACT,
+                "is negative")],
+}
 
 
 def _claims_figA2() -> list[ClaimResult]:
@@ -443,27 +454,6 @@ def _claims_figA2() -> list[ClaimResult]:
                       delta=-2.5002969854526214e-06, delta_tol=TIGHT,
                       note="is tiny but positive")
     return out
-
-
-def _claims_figA3() -> list[ClaimResult]:
-    return _cf_claims("figA3", "EBT", "intrinsic", ("b",), "a",
-                      value=0.0, value_tol=EXACT,
-                      delta=-0.014506272286975541, delta_tol=TIGHT,
-                      note="is exactly zero")
-
-
-def _claims_figA4() -> list[ClaimResult]:
-    return _cf_claims("figA4", "QE", "shapley", ("e",), "a",
-                      value=4.9326e-05, value_tol=1e-8,
-                      delta=-0.0149, delta_tol=DISPLAY_3DP,
-                      note="is tiny but positive")
-
-
-def _claims_figA5() -> list[ClaimResult]:
-    return _cf_claims("figA5", "DFQuAD", "shapley", ("e",), "a",
-                      value=0.0027, value_tol=DISPLAY_4DP,
-                      delta=-0.0049, delta_tol=DISPLAY_4DP,
-                      note="is small but positive")
 
 
 def _claims_figA6() -> list[ClaimResult]:
@@ -478,20 +468,6 @@ def _claims_figA6() -> list[ClaimResult]:
                      shapley(g, PRESETS["SD-DFQuAD"], ("e",), "a").value,
                      0.0021298615641224135, TIGHT))
     return out
-
-
-def _claims_figA7() -> list[ClaimResult]:
-    return _cf_claims("figA7", "EB", "shapley", ("f",), "a",
-                      value=3.4380e-06, value_tol=1e-9,
-                      delta=-7.8369e-05, delta_tol=1e-9,
-                      note="is tiny but positive")
-
-
-def _claims_figA8() -> list[ClaimResult]:
-    return _cf_claims("figA8", "EBT", "shapley", ("f",), "a",
-                      value=-2.7043e-05, value_tol=1e-9,
-                      delta=7.3331e-05, delta_tol=1e-9,
-                      note="is tiny but negative")
 
 
 def _claims_figA9() -> list[ClaimResult]:
@@ -513,20 +489,6 @@ def _claims_figA9() -> list[ClaimResult]:
     out.append(_violated(fid, "QE: counterfactuality check flags gradient-max",
                          check_counterfactuality("gradient-max", g, sem, "a")))
     return out
-
-
-def _claims_figA10() -> list[ClaimResult]:
-    return _cf_claims("figA10", "DFQuAD", "gradient-max", ("c",), "a",
-                      value=0.0, value_tol=TIGHT,
-                      delta=-0.125, delta_tol=TIGHT,
-                      note="is zero")
-
-
-def _claims_figA11() -> list[ClaimResult]:
-    return _cf_claims("figA11", "SD-DFQuAD", "gradient-max", ("b",), "a",
-                      value=-0.25, value_tol=TIGHT,
-                      delta=0.0, delta_tol=EXACT,
-                      note="is negative")
 
 
 def _claims_figA12() -> list[ClaimResult]:
@@ -552,19 +514,14 @@ def _builders():
         "fig7": _claims_fig7,
         "table4": _claims_table4,
         "fig8": _claims_fig8,
-        "figA1": _claims_figA1,
         "figA2": _claims_figA2,
-        "figA3": _claims_figA3,
-        "figA4": _claims_figA4,
-        "figA5": _claims_figA5,
         "figA6": _claims_figA6,
-        "figA7": _claims_figA7,
-        "figA8": _claims_figA8,
         "figA9": _claims_figA9,
-        "figA10": _claims_figA10,
-        "figA11": _claims_figA11,
         "figA12": _claims_figA12,
     }
+    for fid, rows in _CF_ROWS.items():
+        builders[fid] = lambda fid=fid, rows=rows: [
+            claim for row in rows for claim in _cf_claims(fid, *row)]
     for slug in SEMANTICS_SLUGS:
         builders[f"fig6-{slug}"] = (
             lambda s=slug: _claims_fig6(s, shapley_family=False))

@@ -76,6 +76,18 @@ def test_eval_cyclic_file(capsys, tmp_path):
     assert "cycle: [a,b]" in err
 
 
+def test_eval_strength_out_of_range_file(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "arguments": [{"id": "a", "initial_strength": 0.5},
+                      {"id": "b", "initial_strength": 1.5}],
+        "attacks": [["b", "a"]],
+    }))
+    code, out, err = run(capsys, "eval", str(path), "--semantics", "QE")
+    assert (code, out) == (2, "")
+    assert "initial strength of 'b' is 1.5, outside [0, 1]" in err
+
+
 def test_eval_unknown_semantics(capsys):
     code, _, err = run(capsys, "eval", "fig1a", "--semantics", "qe")
     assert code == 3

@@ -1,7 +1,8 @@
 import json
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qbaglab.graph
 from qbaglab.contributions import gradient
@@ -11,7 +12,9 @@ from qbaglab.graph import (
     can_reach,
     detach_incoming,
     dump_graph,
+    graph_from_dict,
     graph_from_json,
+    graph_to_dict,
     graph_to_json,
     influencers,
     load_graph,
@@ -63,6 +66,14 @@ def test_order_is_computed_once_per_graph(monkeypatch):
     gradient(g, "QE", ("b", "c"), "a")
     assert len(calls) == 1
     assert g.order == tuple(original(g)) == ("c", "d", "b", "a")
+    # a strength-only copy keeps the adjacency: its edges are the same
+    h = set_initial_strength(set_initial_strength(g, "b", 0.2), "c", 0.9)
+    evaluate(h, "QE")
+    gradient(h, "QE", ("b", "c"), "a")
+    assert len(calls) == 1
+    assert h.order is g.order and h.parents is g.parents
+    assert h == qbag({"a": 0.3, "b": 0.2, "c": 0.9, "d": 0.55},
+                     attacks=[("b", "a"), ("d", "b")], supports=[("c", "a")])
 
 
 def test_dangling_edge_raises_in_every_reader():
@@ -86,9 +97,33 @@ def test_initial_strength_is_read_only():
 
 def test_validate_flags_strength_out_of_range():
     for bad in (1.5, -0.1):
-        report = validate(qbag({"a": bad}))
+        # the raw constructor accepts what the builders reject
+        report = validate(Qbag(frozenset("a"), frozenset(), frozenset(), {"a": bad}))
         assert not report.ok
         assert any(v.rule == "strength-range" for v in report.violations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=st.floats().filter(lambda v: not 0.0 <= v <= 1.0),
+       x=st.sampled_from("abcd"))
+@example(bad=math.nan, x="a")
+@example(bad=1.5, x="d")
+def test_out_of_range_strength_never_reaches_evaluate(bad, x):
+    tau = {**small_graph().initial_strength, x: bad}
+    doc = graph_to_dict(small_graph())
+    for entry in doc["arguments"]:
+        if entry["id"] == x:
+            entry["initial_strength"] = bad
+    builders = (
+        lambda: qbag(tau, attacks=[("b", "a"), ("d", "b")], supports=[("c", "a")]),
+        lambda: graph_from_dict(doc),
+        lambda: graph_from_json(json.dumps(doc)),
+        lambda: set_initial_strength(small_graph(), x, bad),
+    )
+    for build in builders:
+        with pytest.raises(StrengthRangeError) as info:
+            evaluate(build(), "QE")
+        assert info.value.arg == x
 
 
 def test_validate_flags_unknown_edge_endpoint():
@@ -104,7 +139,8 @@ def test_validate_flags_attack_support_overlap():
 
 
 def test_validate_reports_all_breaches_at_once():
-    g = qbag({"a": 2.0, "b": 0.5}, attacks=[("a", "b"), ("b", "z")])
+    g = Qbag(frozenset("ab"), frozenset({("a", "b"), ("b", "z")}), frozenset(),
+             {"a": 2.0, "b": 0.5})
     report = validate(g)
     assert len(report.violations) >= 2
 

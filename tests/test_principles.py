@@ -215,17 +215,61 @@ SAMPLED_VERDICTS = {
 }
 
 
-@pytest.mark.parametrize("fn", sorted(SAMPLED_VERDICTS))
-def test_sampled_branches_are_pinned(fn):
-    g = random_qbag(random.Random(14), 14, 0.2, STRENGTH_GRID)
+#: the same on a 7-argument graph, topic a (4 influencers, 2 arguments that
+#: cannot reach it), where every checker enumerates in full: all 63 subsets,
+#: consistency's 2016 pairs, monotonicity's X ⊂ Y pairs and every partition.
+#: The literals were captured before the checkers moved to member masks, so
+#: they pin the enumeration orders.
+EXHAUSTIVE_VERDICTS = {
+    "removal": {
+        Principle.CONTRIBUTION_EXISTENCE: ("SATISFIED", 1, (("b",),)),
+        Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE:
+            ("VIOLATED", 3, (("b", "c", "d", "e", "g"), ("f",))),
+        Principle.DIRECTIONALITY: ("SATISFIED", 3, None),
+        Principle.COUNTERFACTUALITY: ("SATISFIED", 63, None),
+        Principle.QUANTITATIVE_COUNTERFACTUALITY: ("SATISFIED", 63, None),
+        Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE:
+            ("SATISFIED", 1, (("b", "c", "d", "f"), ("e", "g"))),
+        Principle.CONSISTENCY: ("VIOLATED", 536, (("b", "f"), ("c", "f"), ("b", "c", "f"))),
+        Principle.MONOTONICITY: ("VIOLATED", 52, (("b",), ("b", "f"))),
+    },
+    "gradient-max": {
+        Principle.CONTRIBUTION_EXISTENCE: ("SATISFIED", 1, (("b",),)),
+        Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE:
+            ("VIOLATED", 1, (("b", "c", "d", "e", "f", "g"),)),
+        Principle.DIRECTIONALITY: ("SATISFIED", 3, None),
+        Principle.COUNTERFACTUALITY: ("VIOLATED", 10, (("b", "f"),)),
+        Principle.QUANTITATIVE_COUNTERFACTUALITY: ("VIOLATED", 1, (("b",),)),
+        Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE:
+            ("VIOLATED", 204, (("b", "c", "d", "f"), ("e", "g"))),
+        Principle.CONSISTENCY: ("SATISFIED", 2016, None),
+        Principle.MONOTONICITY: ("SATISFIED", 602, None),
+    },
+}
+
+#: (random_qbag seed, arguments, edge probability), topic, verdicts
+PINNED = {
+    "sampled": ((14, 14, 0.2), "j", SAMPLED_VERDICTS),
+    "exhaustive": ((56, 7, 0.4), "a", EXHAUSTIVE_VERDICTS),
+}
+
+
+@pytest.mark.parametrize("shape, fn", [
+    *(pytest.param("sampled", fn, id=fn) for fn in sorted(SAMPLED_VERDICTS)),
+    *(pytest.param("exhaustive", fn, id=f"exhaustive-{fn}")
+      for fn in sorted(EXHAUSTIVE_VERDICTS)),
+])
+def test_sampled_branches_are_pinned(shape, fn):
+    (seed, n, p), topic, verdicts = PINNED[shape]
+    g = random_qbag(random.Random(seed), n, p, STRENGTH_GRID)
     for principle in TABLE_PRINCIPLES:
-        if principle is Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE:
+        if principle not in verdicts[fn]:  # All-mode QCE past MAX_PARTITION_ARGS
             with pytest.raises(PartitionSpaceError):
-                run_check(principle, fn, g, QE, "j")
+                run_check(principle, fn, g, QE, topic)
             continue
-        v = run_check(principle, fn, g, QE, "j")
+        v = run_check(principle, fn, g, QE, topic)
         sets = v.witness.sets if v.witness is not None else None
-        assert (v.status.name, v.checked, sets) == SAMPLED_VERDICTS[fn][principle], principle
+        assert (v.status.name, v.checked, sets) == verdicts[fn][principle], principle
 
 
 def test_run_check_dispatch_and_stability():
@@ -289,10 +333,12 @@ def test_search_counterexample_reports_inconclusive_when_clean():
 def test_game_memoizes_set_values():
     g = fixture("fig1a")
     game = CoalitionGame(g, QE, "a")
+    d = 1 << game.players.index("d")  # the member mask of {d}
+    assert game.names(d) == ("d",)
     before = game.computed
-    value = game.set_value("removal", ("d",))
+    value = game.set_value("removal", d)
     mid = game.computed
-    assert game.set_value("removal", ("d",)) == value
+    assert game.set_value("removal", d) == value
     assert game.computed == mid > before
     assert game.value() == evaluate(g, QE)["a"]
 
