@@ -21,6 +21,7 @@ from .contributions import (
     CoalitionGame,
     apply_set_function,
     partition_shapley,
+    shapley,
     sign_map,
 )
 from .errors import (
@@ -145,15 +146,19 @@ def cmd_contrib(args) -> int:
     if args.partition is not None:
         if args.function != "shapley":
             raise UsageError("--partition only makes sense with --function shapley")
+        if args.monte_carlo:
+            raise UsageError("--partition is exact; it does not take --monte-carlo")
         blocks = _split_partition(args.partition)
         result = partition_shapley(g, sem, members, blocks, args.topic,
                                    budget=budget)
-    else:
-        if args.monte_carlo and args.function != "shapley":
+    elif args.monte_carlo:
+        if args.function != "shapley":
             raise UsageError("--monte-carlo only makes sense with --function shapley")
+        result = shapley(g, sem, members, args.topic, monte_carlo=True,
+                         samples=args.samples, seed=args.seed)
+    else:
         result = apply_set_function(args.function, g, sem, members, args.topic,
-                                    budget=budget, monte_carlo=args.monte_carlo,
-                                    samples=args.samples, seed=args.seed)
+                                    budget=budget)
     if args.json:
         _emit_json({
             "file": args.file,
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help="comma-separated member ids")
     p.add_argument("--partition", help="blocks like 'x,y|z|w' (shapley only)")
     p.add_argument("--monte-carlo", action="store_true",
-                   help="sample permutations instead of exact shapley")
+                   help="sample coalitions instead of exact shapley")
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None,

@@ -22,10 +22,10 @@ several questions about one (graph, semantics, topic) shares one game.
 Inside the game a contributor set is an int, its member mask over the
 sorted `players`, and `set_value(fn, mask)` is its one table of
 set-function values; names appear only where a method takes them.
-Exact (partition) Shapley drops the null players, those outside the cone,
-before it enumerates: the budget caps 2^(k+1) for the k players left, and
-their coalitions are evaluated in one Gray-code walk that recomputes only
-the cone nodes a flipped player can reach.
+Shapley drops the null players, those outside the cone: exact (partition)
+Shapley enumerates the 2^(k+1) coalitions of the k players left in one
+Gray-code walk that recomputes only the cone nodes a flipped player can
+reach, and Monte-Carlo Shapley draws coalitions of those k players.
 
 The single-argument functions are implemented independently of the set
 functions on purpose: agreement between `single_contribution(kind, ...)`
@@ -155,9 +155,10 @@ class CoalitionGame:
     methods that take names (`removal`, ..., `contribution`) validate them
     and read it.
 
-    Exact Shapley leaves out the players with no cone bit (null players:
-    their marginal contribution is always 0) and raises `BudgetError` when
-    the 2^(k+1) coalitions of the k remaining players and the set exceed
+    Exact and Monte-Carlo Shapley read one list of players, `_others`,
+    without those with no cone bit (null players: their marginal
+    contribution is always 0). Exact Shapley raises `BudgetError` when the
+    2^(k+1) coalitions of the k players left and the set exceed
     `budget`; a set with no cone bit is worth 0. It fills the memo in one
     Gray-code walk over those coalitions, recomputing at each step only the
     nodes from the flipped player's first cone node on, then sums in the
@@ -179,14 +180,14 @@ class CoalitionGame:
 
     @cached_property
     def _cone(self) -> tuple[dict[str, int], list[tuple[float, tuple]]]:
-        """(bit per cone argument, (tau, parents) per cone node)."""
+        """(cone mask per argument, 0 outside the cone; (tau, parents) per cone node)."""
         g = self.graph
         cone = influencers(g, self.topic, include_topic=True)
         order = [a for a in g.order if a in cone]
         index = {a: i for i, a in enumerate(order)}
         nodes = [(g.initial_strength[a], tuple((index[src], pol) for src, pol in g.parents[a]))
                  for a in order]
-        return {a: 1 << i for a, i in index.items()}, nodes
+        return {a: 1 << index[a] if a in index else 0 for a in g.arguments}, nodes
 
     def names(self, m: int) -> tuple[str, ...]:
         """The players in member mask `m`, sorted; one step per member."""
@@ -209,10 +210,13 @@ class CoalitionGame:
         return sum(1 << self.players.index(x) for x in members)
 
     def mask(self, args: Iterable[str]) -> int:
-        """The cone mask of the arguments `args`."""
+        """The cone mask of the arguments `args`, each one in the graph."""
         bit, out = self._cone[0], 0
-        for a in args:
-            out |= bit.get(a, 0)
+        try:
+            for a in args:
+                out |= bit[a]
+        except KeyError as exc:
+            raise UnknownArgumentError(exc.args) from None
         return out
 
     def _cone_mask(self, m: int) -> int:
@@ -220,9 +224,10 @@ class CoalitionGame:
         return self.mask(self.names(m))
 
     def _others(self, m: int) -> list[int]:
-        """The cone mask of each player outside member mask `m`, in order."""
+        """The non-zero cone masks of the players outside member mask `m`, in
+        name order: the Shapley players that are not null."""
         bit = self._cone[0]
-        return [bit.get(x, 0) for i, x in enumerate(self.players) if not m >> i & 1]
+        return [bit[x] for i, x in enumerate(self.players) if not m >> i & 1 and bit[x]]
 
     def _update(self, vals: list[float], start: int, removed: int, detached: int = 0) -> float:
         """Recompute the cone node strengths `vals[start:]` for the coalition
@@ -278,11 +283,10 @@ class CoalitionGame:
         return hit
 
     def _exact_shapley(self, member_mask: int, players: Sequence[int]) -> float:
-        """Shapley value of the player `member_mask` against `players` (cone
-        masks; null players dropped), summed in itertools.combinations order."""
+        """Shapley value of the player `member_mask` against `players` (non-zero
+        cone masks), summed in itertools.combinations order."""
         if not member_mask:
             return 0.0
-        players = [p for p in players if p]
         n = len(players)
         needed = 2 ** (n + 1)
         if needed > self.budget:
@@ -332,16 +336,11 @@ class CoalitionGame:
         return _result(value, function, self.semantics, self.names(m), self.topic,
                        self.computed - start, std_error)
 
-    def contribution(
-        self, fn_id: str, members: Iterable[str], monte_carlo: bool = False,
-        samples: int = 20_000, seed: int = 0,
-    ) -> ContributionResult:
+    def contribution(self, fn_id: str, members: Iterable[str]) -> ContributionResult:
         """The set function named `fn_id` (one of FUNCTION_IDS) of the set
-        `members`; Shapley with `monte_carlo=True` samples, see `shapley`."""
+        `members`; Shapley is exact."""
         if fn_id not in FUNCTION_IDS:
             raise _unknown_function(fn_id)
-        if monte_carlo and fn_id == "shapley":
-            return self.shapley(members, monte_carlo=True, samples=samples, seed=seed)
         m = self._member_mask(members)
         start = self.computed
         return self._result(self.set_value(fn_id, m), fn_id, m, start)
@@ -362,23 +361,23 @@ class CoalitionGame:
         """The set acts as one Shapley player; all other non-topic arguments
         are singleton players. Exact enumeration by default, which raises
         `BudgetError` rather than fall back to sampling; `monte_carlo=True`
-        always estimates from `samples` random permutations instead."""
+        always estimates from `samples` (at least 1) seeded draws instead.
+        A draw is a coalition S of the k non-null players, a uniform size
+        then uniform members, so S has its Shapley weight |S|!(k-|S|)!/(k+1)!."""
         if not monte_carlo:
             return self.contribution("shapley", members)
+        if samples < 1:
+            raise ContributorError(f"Monte-Carlo Shapley needs at least 1 sample, got {samples}")
         m = self._member_mask(members)
         start = self.computed
         if not m:
             return self._result(0.0, "shapley", m, start)
         member_mask = self._cone_mask(m)
-        masks = self._others(m)
-        n = len(masks)
+        players = self._others(m)
         rng = random.Random(seed)
         draws = []
         for _ in range(samples):
-            order = masks[:]
-            rng.shuffle(order)
-            cut = rng.randint(0, n)  # position of the set player among n+1 slots
-            coalition = sum(order[:cut])
+            coalition = sum(rng.sample(players, rng.randint(0, len(players))))
             draws.append(self.value(coalition) - self.value(coalition | member_mask))
         value = statistics.fmean(draws)
         err = statistics.stdev(draws) / math.sqrt(len(draws)) if len(draws) > 1 else None
@@ -399,7 +398,7 @@ class CoalitionGame:
             raise ContributorError("partition blocks must cover exactly the non-topic arguments")
         start = self.computed
         others = sorted((b for b in blocks if b != members), key=sorted)
-        value = self._exact_shapley(self._cone_mask(m), [self.mask(b) for b in others])
+        value = self._exact_shapley(self._cone_mask(m), [p for p in map(self.mask, others) if p])
         return self._result(value, "partition-shapley", m, start)
 
 
@@ -473,12 +472,8 @@ _GRADIENT_PSI = {
 def apply_set_function(
     fn_id: str, g: Qbag, sem: Semantics, members: Iterable[str], topic: str,
     budget: int = DEFAULT_BUDGET,
-    monte_carlo: bool = False,
-    samples: int = 20_000,
-    seed: int = 0,
 ) -> ContributionResult:
-    return CoalitionGame(g, sem, topic, budget).contribution(
-        fn_id, members, monte_carlo=monte_carlo, samples=samples, seed=seed)
+    return CoalitionGame(g, sem, topic, budget).contribution(fn_id, members)
 
 
 # --- single-argument functions (independent implementations) -------------------

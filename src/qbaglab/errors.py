@@ -56,7 +56,8 @@ class InfluenceDomainError(SemanticsError):
 
 class ContributorError(QbagError):
     """Invalid set contributor: topic inside the set, unknown ids, empty set
-    where the function needs members, or a partition that does not partition."""
+    where the function needs members, or a partition that does not partition;
+    also a query setting out of range (grid step, Monte-Carlo sample count)."""
 
 
 class TopicInSetError(ContributorError):

@@ -372,8 +372,8 @@ def graph_from_dict(doc: object) -> Qbag:
     )
 
 
-def graph_to_json(g: Qbag, indent: int | None = 2) -> str:
-    return json.dumps(graph_to_dict(g), indent=indent)
+def graph_to_json(g: Qbag) -> str:
+    return json.dumps(graph_to_dict(g), indent=2)
 
 
 def graph_from_json(text: str) -> Qbag:

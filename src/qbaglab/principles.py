@@ -36,7 +36,7 @@ import itertools
 import random
 import string
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .contributions import (
     DEFAULT_BUDGET,
@@ -740,23 +740,15 @@ def topics_of(g: Qbag) -> list[str]:
     return sorted(g.arguments - with_out)
 
 
-def run_matrix(
-    fixtures: Mapping[str, Qbag] | None = None,
-    fns: Sequence[str] = SET_FUNCTION_IDS,
-    specs: Sequence[str] = PRESET_NAMES,
-    principles: Sequence[Principle] = TABLE_PRINCIPLES,
-    cfg: SearchConfig | None = None,
-) -> MatrixReport:
+def run_matrix(cfg: SearchConfig | None = None) -> MatrixReport:
     """Check every (function, semantics, principle) cell against the expected
     pattern: expected violations must reproduce on their designated fixture,
-    expected satisfactions must survive the fixture corpus plus the seeded
-    random corpus without a counterexample."""
+    expected satisfactions must survive the bundled fixtures plus the seeded
+    random corpus of `cfg` without a counterexample."""
     from .fixtures import FIXTURES
 
-    fixtures = dict(FIXTURES if fixtures is None else fixtures)
     cfg = cfg or SearchConfig()
-    randoms = random_corpus(cfg)
-    corpus: list[Qbag] = [fixtures[k] for k in sorted(fixtures)] + randoms
+    corpus: list[Qbag] = [FIXTURES[k] for k in sorted(FIXTURES)] + random_corpus(cfg)
 
     games: dict[tuple[Qbag, str, str], CoalitionGame] = {}
 
@@ -767,9 +759,9 @@ def run_matrix(
         return games[key]
 
     cells = []
-    for principle in principles:
-        for fn in fns:
-            for sem_name in specs:
+    for principle in TABLE_PRINCIPLES:
+        for fn in SET_FUNCTION_IDS:
+            for sem_name in PRESET_NAMES:
                 expected = EXPECTED_VERDICTS[principle][fn][sem_name]
                 if expected:
                     status, fixture_id, witness, checked = "PASS", None, None, 0
@@ -785,7 +777,7 @@ def run_matrix(
                             break
                 else:
                     fixture_id, topic = violation_fixture(principle, fn, sem_name)
-                    g = fixtures[fixture_id]
+                    g = FIXTURES[fixture_id]
                     verdict = _check_game(principle, fn, game_for(g, sem_name, topic), cfg)
                     checked = verdict.checked
                     if verdict.violated:

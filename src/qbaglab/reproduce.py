@@ -578,11 +578,8 @@ class ReproduceReport:
         return "\n".join(lines)
 
 
-def run_all(include_matrix: bool = True,
-            cfg: SearchConfig | None = None) -> ReproduceReport:
-    claims = tuple(run_claims())
-    matrix = run_matrix(cfg=cfg) if include_matrix else None
-    return ReproduceReport(claims=claims, matrix=matrix)
+def run_all(cfg: SearchConfig | None = None) -> ReproduceReport:
+    return ReproduceReport(claims=tuple(run_claims()), matrix=run_matrix(cfg=cfg))
 
 
 def run_some(fixture_ids: Iterable[str]) -> ReproduceReport:

@@ -289,7 +289,7 @@ def test_acceptance_09_partition_shapley_efficiency():
 
 
 def test_acceptance_10_full_reproduction():
-    report = run_all(include_matrix=True)
+    report = run_all()
     claims_ok = sum(c.passed for c in report.claims)
     mismatches = len(report.matrix.mismatches())
     _criterion(10, report.ok,

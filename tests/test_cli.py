@@ -145,6 +145,24 @@ def test_contrib_monte_carlo(capsys):
     assert abs(payload["value"] - (-0.013)) < 0.02
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_contrib_monte_carlo_rejects_fewer_than_one_sample(capsys, samples):
+    code, out, err = run(capsys, "contrib", "fig1a", "--function", "shapley",
+                         "--set", "d", "--topic", "a", "--monte-carlo",
+                         "--samples", samples)
+    assert code == 2 and out == ""
+    assert f"got {samples}" in err
+
+
+def test_contrib_partition_rejects_monte_carlo(capsys):
+    code, out, err = run(capsys, "contrib", "table4", "--function", "shapley",
+                         "--set", "NOV,IMP", "--topic", "D",
+                         "--partition", "NOV,IMP|CMP|APR",
+                         "--monte-carlo", "--samples", "50")
+    assert code == 2 and out == ""
+    assert "--monte-carlo" in err
+
+
 def test_contrib_partition(capsys):
     code, out, _ = run(capsys, "contrib", "table4", "--function", "shapley",
                        "--set", "NOV,IMP", "--topic", "D",

@@ -223,7 +223,61 @@ def test_exact_shapley_equals_plain_enumeration_on_random_graphs():
 
 def test_monte_carlo_shapley_value_is_pinned():
     r = shapley(fixture("fig6-qe"), QE, ("d",), "a", monte_carlo=True, samples=4000, seed=3)
-    assert (r.value, r.std_error) == (-0.0038401736520271342, 0.0002678628023427272)
+    assert (r.value, r.std_error) == (-0.0028268496425605293, 0.00026802257246879164)
+
+
+def test_monte_carlo_shapley_rejects_fewer_than_one_sample():
+    g = fixture("fig6-qe")
+    for samples in (0, -5):
+        with pytest.raises(ContributorError, match=f"got {samples}"):
+            shapley(g, QE, ("d",), "a", monte_carlo=True, samples=samples)
+    one = shapley(g, QE, ("d",), "a", monte_carlo=True, samples=1)
+    assert math.isfinite(one.value) and one.std_error is None
+
+
+def test_monte_carlo_estimate_ignores_arguments_that_cannot_reach_the_topic():
+    g = fixture("fig6-qe")
+    tau = {**g.initial_strength, "ab": 0.4, "b0": 0.7, "z1": 0.5, "zz": 0.2}
+    wider = qbag(tau, attacks=[*g.attacks, ("d", "z1"), ("b0", "zz")],
+                 supports=[*g.supports, ("ab", "z1")])
+    for name in PRESET_NAMES:
+        base, more = (shapley(h, PRESETS[name], ("d",), "a", monte_carlo=True,
+                              samples=500, seed=3) for h in (g, wider))
+        assert (more.value, more.std_error) == (base.value, base.std_error)
+
+
+def test_monte_carlo_shapley_within_four_standard_errors_of_exact():
+    rng = random.Random(41)
+    grid = tuple(i / 10 for i in range(11))
+    checked = 0
+    while checked < 60:
+        g = random_qbag(rng, n=rng.randint(3, 8), edge_prob=rng.choice((0.4, 0.6)), grid=grid)
+        name = rng.choice(PRESET_NAMES)
+        topic = rng.choice(sorted(g.arguments))
+        others = sorted(g.arguments - {topic})
+        members = rng.sample(others, rng.randint(1, len(others)))
+        game = CoalitionGame(g, PRESETS[name], topic)
+        member_mask = game.mask(members)
+        players = [game.mask((x,)) for x in others if x not in members]
+        marginals = {game.value(c) - game.value(c | member_mask)
+                     for r in range(len(players) + 1)
+                     for c in map(sum, itertools.combinations(players, r))}
+        if len(marginals) < 2:  # a constant marginal has no error to estimate
+            continue
+        est = game.shapley(members, monte_carlo=True, samples=1000, seed=rng.randrange(2 ** 31))
+        exact = game.shapley(members).value
+        assert est.std_error > 0
+        assert abs(est.value - exact) <= 4 * est.std_error
+        checked += 1
+
+
+def test_mask_rejects_unknown_names_and_accepts_the_topic():
+    game = CoalitionGame(fixture("fig1a"), QE, "a")
+    with pytest.raises(UnknownArgumentError, match="zz"):
+        game.mask(("zz",))
+    with pytest.raises(UnknownArgumentError):
+        game.mask(("d", "zz"))
+    assert game.mask(("a", "d")) == game.mask(("a",)) | game.mask(("d",))
 
 
 def test_repeated_exact_shapley_on_one_game_evaluates_nothing():
