@@ -139,6 +139,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_contrib(args) -> int:
+    sampling = {k: getattr(args, k) for k in ("samples", "seed") if getattr(args, k) is not None}
+    if sampling and not args.monte_carlo:
+        raise UsageError("--samples and --seed only apply with --monte-carlo")
     g = _load(args.file)
     sem = _semantics(args.semantics)
     members = _split_ids(args.set)
@@ -154,8 +157,7 @@ def cmd_contrib(args) -> int:
     elif args.monte_carlo:
         if args.function != "shapley":
             raise UsageError("--monte-carlo only makes sense with --function shapley")
-        result = shapley(g, sem, members, args.topic, monte_carlo=True,
-                         samples=args.samples, seed=args.seed)
+        result = shapley(g, sem, members, args.topic, monte_carlo=True, **sampling)
     else:
         result = apply_set_function(args.function, g, sem, members, args.topic,
                                     budget=budget)
@@ -180,7 +182,7 @@ def cmd_contrib(args) -> int:
     return 0
 
 
-def _parse_random(raw: str) -> SearchConfig:
+def _parse_random(raw: str, budget: int) -> SearchConfig:
     fields = {}
     for part in raw.split(","):
         part = part.strip()
@@ -198,7 +200,9 @@ def _parse_random(raw: str) -> SearchConfig:
         n = int(fields.get("n", 5))
     except ValueError as exc:
         raise UsageError(f"--random values must be integers: {exc}")
-    return SearchConfig(seed=seed, random_graphs=n)
+    if n < 1:
+        raise UsageError(f"--random needs n of at least 1, got n={n}")
+    return SearchConfig(seed=seed, random_graphs=n, budget=budget)
 
 
 def cmd_principles(args) -> int:
@@ -214,9 +218,7 @@ def cmd_principles(args) -> int:
             raise UsageError(str(exc))
     cfg = SearchConfig(budget=_budget(args.budget))
     if args.random is not None:
-        rand_cfg = _parse_random(args.random)
-        cfg = SearchConfig(seed=rand_cfg.seed, random_graphs=rand_cfg.random_graphs,
-                           budget=cfg.budget)
+        cfg = _parse_random(args.random, cfg.budget)
         graphs = [(f"random-{i}", g) for i, g in enumerate(random_corpus(cfg))]
     else:
         graphs = [(args.file, _load(args.file))]
@@ -356,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", help="blocks like 'x,y|z|w' (shapley only)")
     p.add_argument("--monte-carlo", action="store_true",
                    help="sample coalitions instead of exact shapley")
-    p.add_argument("--samples", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, help="Monte-Carlo draws (shapley's default if unset)")
+    p.add_argument("--seed", type=int, help="Monte-Carlo seed (shapley's default if unset)")
     p.add_argument("--budget", type=int, default=None,
                    help=f"evaluation budget (default {DEFAULT_BUDGET}, "
                         f"or {BUDGET_ENV})")

@@ -19,9 +19,9 @@ All of them read one coalition game, `CoalitionGame`: v(S) is the topic's
 final strength once coalition S is removed (or detached). It compiles the
 topic's ancestor cone once and memoises v by bitmask, so a caller asking
 several questions about one (graph, semantics, topic) shares one game.
-Inside the game a contributor set is an int, its member mask over the
-sorted `players`, and `set_value(fn, mask)` is its one table of
-set-function values; names appear only where a method takes them.
+Inside the game a set of arguments is one int, so a contributor set's
+member mask is also its coalition, and `set_value(fn, mask)` is the one
+table of set-function values; names appear only where a method takes them.
 Shapley drops the null players, those outside the cone: exact (partition)
 Shapley enumerates the 2^(k+1) coalitions of the k players left in one
 Gray-code walk that recomputes only the cone nodes a flipped player can
@@ -141,25 +141,24 @@ class CoalitionGame:
     coalition S is removed, or once the edges entering S from outside are
     detached. Every set contribution function is read from this game.
 
-    The graph is compiled once, on first use: the topic's ancestor cone in
-    topological order (the topic last), each node with its sorted parents as
-    (index, polarity) pairs. A coalition is a *cone mask*, an int with one
-    bit per cone argument; arguments outside the cone cannot move the topic
-    and get no bit, so coalitions that differ only in them share one memo
-    entry of `value()`. `computed` counts the distinct strength evaluations
-    and dual passes this game has made.
-
-    A contributor set is a *member mask*: bit i is `players[i]`, and
-    `names(m)` gives the set back as sorted names. `set_value(fn, m)` is
-    the one table of set-function values, keyed by (fn, member mask); the
-    methods that take names (`removal`, ..., `contribution`) validate them
-    and read it.
+    A set of arguments is one int: bit i is `players[i]` (the non-topic
+    arguments, sorted) and bit `len(players)` the topic. So a contributor
+    set's *member mask* is also its coalition, and `names(m)` gives it back
+    as sorted names. The graph is compiled once, on first use: the *cone*,
+    the mask of the topic and its ancestors, and its nodes in topological
+    order (the topic last), each with its sorted parents as (bit, polarity)
+    pairs. Arguments outside the cone cannot move the topic, so callers pass
+    `m & cone` to `value()` and coalitions that differ only in them share
+    one memo entry. `computed` counts the distinct strength evaluations and
+    dual passes this game has made. `set_value(fn, m)` is the one table of
+    set-function values, keyed by (fn, member mask); the methods that take
+    names (`removal`, ..., `contribution`) validate them and read it.
 
     Exact and Monte-Carlo Shapley read one list of players, `_others`,
-    without those with no cone bit (null players: their marginal
+    without those outside the cone (null players: their marginal
     contribution is always 0). Exact Shapley raises `BudgetError` when the
     2^(k+1) coalitions of the k players left and the set exceed
-    `budget`; a set with no cone bit is worth 0. It fills the memo in one
+    `budget`; a set outside the cone is worth 0. It fills the memo in one
     Gray-code walk over those coalitions, recomputing at each step only the
     nodes from the flipped player's first cone node on, then sums in the
     order of itertools.combinations, so a game with no null players gives
@@ -171,23 +170,25 @@ class CoalitionGame:
         self.semantics = semantics_from_spec(sem)
         self.topic = topic
         self.budget = budget
-        #: the non-topic arguments, sorted; bit i of a member mask is players[i]
+        #: the non-topic arguments, sorted; bit i of a mask is players[i], the topic's is last
         self.players = tuple(sorted(g.arguments - {topic}))
+        self._index = {a: i for i, a in enumerate((*self.players, topic))}
         self._values: dict[int, float] = {}
         self._duals: dict[str, float] = {}
         self._set_values: dict[tuple, float] = {}
         self.computed = 0
 
     @cached_property
-    def _cone(self) -> tuple[dict[str, int], list[tuple[float, tuple]]]:
-        """(cone mask per argument, 0 outside the cone; (tau, parents) per cone node)."""
-        g = self.graph
+    def _cone(self) -> tuple[int, list[tuple[int, float, tuple]], dict[int, int]]:
+        """(cone mask; (bit, tau, parents) per cone node in topological order;
+        each node's position in that order, keyed by its mask)."""
+        g, index = self.graph, self._index
         cone = influencers(g, self.topic, include_topic=True)
-        order = [a for a in g.order if a in cone]
-        index = {a: i for i, a in enumerate(order)}
-        nodes = [(g.initial_strength[a], tuple((index[src], pol) for src, pol in g.parents[a]))
-                 for a in order]
-        return {a: 1 << index[a] if a in index else 0 for a in g.arguments}, nodes
+        nodes = [(index[a], g.initial_strength[a],
+                  tuple((index[src], pol) for src, pol in g.parents[a]))
+                 for a in g.order if a in cone]
+        rank = {1 << b: i for i, (b, _, _) in enumerate(nodes)}
+        return sum(1 << index[a] for a in cone), nodes, rank
 
     def names(self, m: int) -> tuple[str, ...]:
         """The players in member mask `m`, sorted; one step per member."""
@@ -207,48 +208,42 @@ class CoalitionGame:
         if self.topic in members:
             raise TopicInSetError(
                 f"topic {self.topic!r} must not be part of the contributor set")
-        return sum(1 << self.players.index(x) for x in members)
+        return sum(1 << self._index[x] for x in members)
 
     def mask(self, args: Iterable[str]) -> int:
-        """The cone mask of the arguments `args`, each one in the graph."""
-        bit, out = self._cone[0], 0
+        """The cone bits of the arguments `args`, each one in the graph."""
+        out = 0
         try:
             for a in args:
-                out |= bit[a]
+                out |= 1 << self._index[a]
         except KeyError as exc:
             raise UnknownArgumentError(exc.args) from None
-        return out
-
-    def _cone_mask(self, m: int) -> int:
-        """The cone mask of member mask `m`."""
-        return self.mask(self.names(m))
+        return out & self._cone[0]
 
     def _others(self, m: int) -> list[int]:
-        """The non-zero cone masks of the players outside member mask `m`, in
-        name order: the Shapley players that are not null."""
-        bit = self._cone[0]
-        return [bit[x] for i, x in enumerate(self.players) if not m >> i & 1 and bit[x]]
+        """The bits of the cone players outside member mask `m`, in name
+        order: the Shapley players that are not null."""
+        free = self._cone[0] & ~m
+        return [1 << i for i in range(len(self.players)) if free >> i & 1]
 
     def _update(self, vals: list[float], start: int, removed: int, detached: int = 0) -> float:
-        """Recompute the cone node strengths `vals[start:]` for the coalition
-        (`removed`, `detached`) and return the topic's. `vals[:start]` must
-        already hold that coalition's strengths."""
+        """Recompute, in `vals` by bit, the strengths of the cone nodes from
+        position `start` of their order on for the coalition (`removed`,
+        `detached`) and return the topic's; the nodes before hold them already."""
         sem = self.semantics
-        nodes = self._cone[1]
-        for i in range(start, len(nodes)):
-            if removed >> i & 1:
-                vals[i] = 0.0  # never read: every edge out of it is cut
+        for b, w, parents in self._cone[1][start:]:
+            if removed >> b & 1:
+                vals[b] = 0.0  # never read: every edge out of it is cut
                 continue
-            w, parents = nodes[i]
-            cut = removed | ~detached if detached >> i & 1 else removed
+            cut = removed | ~detached if detached >> b & 1 else removed
             live = [(j, pol) for j, pol in parents if not cut >> j & 1]
-            vals[i] = node_strength(sem, w, [pol for _, pol in live], [vals[j] for j, _ in live])
+            vals[b] = node_strength(sem, w, [pol for _, pol in live], [vals[j] for j, _ in live])
         return vals[-1]
 
     def value(self, removed: int = 0, detached: int = 0) -> float:
         """Topic strength with the `removed` coalition deleted and the edges
-        entering the `detached` coalition from outside cut (both cone masks)."""
-        n = len(self._cone[1])
+        entering the `detached` coalition from outside cut (both masks)."""
+        n = len(self.players) + 1
         key = removed | detached << n
         hit = self._values.get(key)
         if hit is None:
@@ -260,9 +255,12 @@ class CoalitionGame:
         """Memoise v(S) for every coalition S of `players` (disjoint non-zero
         cone masks) in one Gray-code walk; the player whose first cone node
         comes latest flips most often."""
-        players = sorted(players, key=lambda p: p & -p, reverse=True)
-        firsts = [(p & -p).bit_length() - 1 for p in players]
-        vals = [0.0] * len(self._cone[1])
+        rank = self._cone[2]  # in topological order, so the first match is the earliest
+        first = {p: rank[p] if p in rank else next(i for q, i in rank.items() if p & q)
+                 for p in players}
+        players = sorted(players, key=first.get, reverse=True)
+        firsts = [first[p] for p in players]
+        vals = [0.0] * (len(self.players) + 1)
         removed, dirty = 0, 0
         for t in range(1 << len(players)):
             if t:
@@ -272,7 +270,7 @@ class CoalitionGame:
             if removed not in self._values:
                 self._values[removed] = self._update(vals, dirty, removed)
                 self.computed += 1
-                dirty = len(vals)
+                dirty = len(rank)
 
     def dual(self, x: str) -> float:
         """d(topic strength) / d(tau(x)), one forward-mode pass per member."""
@@ -321,12 +319,12 @@ class CoalitionGame:
                     )
                 hit = _GRADIENT_PSI[fn].combine([self.dual(x) for x in self.names(m)])
             elif fn == "removal":
-                hit = self.value() - self.value(self._cone_mask(m))
+                hit = self.value() - self.value(m & self._cone[0])
             elif fn == "intrinsic":
-                cone = self._cone_mask(m)
+                cone = m & self._cone[0]
                 hit = self.value(detached=cone) - self.value(cone)
             elif fn == "shapley":
-                hit = self._exact_shapley(self._cone_mask(m), self._others(m))
+                hit = self._exact_shapley(m & self._cone[0], self._others(m))
             else:
                 raise _unknown_function(fn)
             self._set_values[key] = hit
@@ -372,7 +370,7 @@ class CoalitionGame:
         start = self.computed
         if not m:
             return self._result(0.0, "shapley", m, start)
-        member_mask = self._cone_mask(m)
+        member_mask = m & self._cone[0]
         players = self._others(m)
         rng = random.Random(seed)
         draws = []
@@ -398,7 +396,7 @@ class CoalitionGame:
             raise ContributorError("partition blocks must cover exactly the non-topic arguments")
         start = self.computed
         others = sorted((b for b in blocks if b != members), key=sorted)
-        value = self._exact_shapley(self._cone_mask(m), [p for p in map(self.mask, others) if p])
+        value = self._exact_shapley(m & self._cone[0], [p for p in map(self.mask, others) if p])
         return self._result(value, "partition-shapley", m, start)
 
 

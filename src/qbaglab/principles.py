@@ -48,6 +48,7 @@ from .contributions import (
     single_contribution,
 )
 from .errors import PartitionSpaceError
+from .fixtures import FIXTURES, SEMANTICS_SLUGS
 from .graph import Qbag, qbag, restrict
 from .semantics import PRESET_NAMES, check_stability
 from .verdicts import Principle, PrincipleVerdict, Status, Witness
@@ -278,7 +279,7 @@ def _quantitative_contribution_existence(
 
     # Exists-mode: the reachability split, then (if affordable) every partition.
     principle = Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE
-    reach = sum(b for b, x in zip(bits, game.players) if game.mask((x,)))
+    reach = game.mask(game.players)  # the players that reach the topic
     split = tuple(b for b in (reach, sum(bits) - reach) if b)
     exhaustive = len(bits) <= MAX_PARTITION_ARGS
     candidates = itertools.chain([split], partitions if exhaustive else ())
@@ -322,8 +323,8 @@ def check_directionality(
 def _directionality(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdict:
     g, a = game.graph, game.topic
     principle = Principle.DIRECTIONALITY
-    # an argument outside the topic's ancestor cone has no bit in the game
-    unreachable = [b for b, x in zip(_player_bits(game), game.players) if not game.mask((x,))]
+    cone = game.mask(game.players)  # the players that reach the topic
+    unreachable = [b for b in _player_bits(game) if not b & cone]
     if not unreachable:
         return PrincipleVerdict(
             principle, Status.SATISFIED, checked=0,
@@ -670,9 +671,6 @@ EXPECTED_VERDICTS: dict[Principle, dict[str, dict[str, bool]]] = {
     },
 }
 
-_SEM_SLUG = {"QE": "qe", "DFQuAD": "dfquad", "SD-DFQuAD": "sd-dfquad",
-             "EB": "eb", "EBT": "ebt"}
-
 _CF_INTRINSIC_FIXTURE = {"QE": "figA1", "DFQuAD": "figA1", "SD-DFQuAD": "figA1",
                          "EB": "figA2", "EBT": "figA3"}
 _CF_SHAPLEY_FIXTURE = {"QE": "figA4", "DFQuAD": "figA5", "SD-DFQuAD": "figA6",
@@ -698,7 +696,7 @@ def violation_fixture(principle: Principle, fn: str, sem_name: str):
     if principle is Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE:
         return "fig5", "a"
     if principle is Principle.CONSISTENCY:
-        slug = _SEM_SLUG[sem_name]
+        slug = next(s for s, name in SEMANTICS_SLUGS.items() if name == sem_name)
         return (f"fig6-shapley-{slug}" if fn == "shapley" else f"fig6-{slug}"), "a"
     if principle is Principle.MONOTONICITY:
         return "fig7", "a"
@@ -745,8 +743,6 @@ def run_matrix(cfg: SearchConfig | None = None) -> MatrixReport:
     pattern: expected violations must reproduce on their designated fixture,
     expected satisfactions must survive the bundled fixtures plus the seeded
     random corpus of `cfg` without a counterexample."""
-    from .fixtures import FIXTURES
-
     cfg = cfg or SearchConfig()
     corpus: list[Qbag] = [FIXTURES[k] for k in sorted(FIXTURES)] + random_corpus(cfg)
 

@@ -17,7 +17,7 @@ from .contributions import (
     gradient,
     shapley,
 )
-from .fixtures import FIG8_MANIFEST, FIXTURE_IDS, SEMANTICS_SLUGS, fixture
+from .fixtures import FIG8_MANIFEST, SEMANTICS_SLUGS, fixture
 from .principles import (
     MatrixReport,
     SearchConfig,
@@ -29,7 +29,7 @@ from .principles import (
     run_matrix,
 )
 from .review import aspect_model, build_decision_graph, evaluate_text_layer, report_contributions
-from .semantics import PRESETS, evaluate
+from .semantics import PRESET_NAMES, PRESETS, evaluate
 from .verdicts import Status
 
 EXACT = 1e-12
@@ -37,8 +37,6 @@ TIGHT = 1e-9
 DISPLAY_2DP = 5e-3
 DISPLAY_3DP = 5e-4 + 1e-12
 DISPLAY_4DP = 5e-5 + 1e-12
-
-PRESET_ORDER = ("QE", "DFQuAD", "SD-DFQuAD", "EB", "EBT")
 
 
 @dataclass(frozen=True)
@@ -142,7 +140,7 @@ def _claims_fig3() -> list[ClaimResult]:
     fid = "fig3"
     g = fixture(fid)
     out = []
-    for name in PRESET_ORDER:
+    for name in PRESET_NAMES:
         out.append(_near(fid, f"{name} final strength of a",
                          evaluate(g, PRESETS[name])["a"], _FIG3_SIGMA[name], TIGHT))
     for name in ("DFQuAD", "SD-DFQuAD", "EBT"):
@@ -152,7 +150,7 @@ def _claims_fig3() -> list[ClaimResult]:
     for name in ("QE", "EB"):
         v = check_contribution_existence("gradient-max", g, PRESETS[name], "a")
         out.append(_satisfied(fid, f"{name}: some set has a nonzero gradient", v))
-    for name in PRESET_ORDER:
+    for name in PRESET_NAMES:
         v = check_quantitative_contribution_existence(
             "removal", g, PRESETS[name], "a")
         out.append(_violated(fid, f"{name}: partition sums miss sigma-tau "
@@ -177,7 +175,7 @@ def _claims_fig4() -> list[ClaimResult]:
     fid = "fig4"
     g = fixture(fid)
     out = []
-    for name in PRESET_ORDER:
+    for name in PRESET_NAMES:
         v = check_quantitative_contribution_existence(
             "shapley", g, PRESETS[name], "a")
         out.append(_violated(fid, f"{name}: set Shapley sums miss sigma-tau "
@@ -206,7 +204,7 @@ def _claims_fig5() -> list[ClaimResult]:
     fid = "fig5"
     g = fixture(fid)
     out = []
-    for name in PRESET_ORDER:
+    for name in PRESET_NAMES:
         v = check_quantitative_contribution_existence(
             "gradient-max", g, PRESETS[name], "a", mode="Exists")
         out.append(_violated(fid, f"{name}: gradient-max sums miss sigma-tau "
@@ -291,7 +289,7 @@ def _claims_fig7() -> list[ClaimResult]:
     fid = "fig7"
     g = fixture(fid)
     out = []
-    for name in PRESET_ORDER:
+    for name in PRESET_NAMES:
         sem = PRESETS[name]
         game = CoalitionGame(g, sem, "a")
         for fn_id in _FIG7_FNS:

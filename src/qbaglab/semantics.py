@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import InfluenceDomainError, SemanticsError, UnknownArgumentError
 from .graph import Qbag

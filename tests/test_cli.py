@@ -154,6 +154,23 @@ def test_contrib_monte_carlo_rejects_fewer_than_one_sample(capsys, samples):
     assert f"got {samples}" in err
 
 
+@pytest.mark.parametrize("flags", [("--samples", "0", "--seed", "5"),
+                                   ("--samples", "100"), ("--seed", "5")])
+def test_contrib_sampling_flags_need_monte_carlo(capsys, flags):
+    code, out, err = run(capsys, "contrib", "fig1a", "--function", "removal",
+                         "--set", "d", "--topic", "a", *flags)
+    assert code == 2 and out == ""
+    assert "--monte-carlo" in err
+
+
+def test_contrib_monte_carlo_defaults_are_shapleys(capsys):
+    code, out, _ = run(capsys, "contrib", "fig1a", "--function", "shapley",
+                       "--set", "d", "--topic", "a", "--monte-carlo", "--json")
+    assert code == 0
+    want = qbaglab.shapley(fixture("fig1a"), "QE", ("d",), "a", monte_carlo=True)
+    assert json.loads(out)["value"] == want.value
+
+
 def test_contrib_partition_rejects_monte_carlo(capsys):
     code, out, err = run(capsys, "contrib", "table4", "--function", "shapley",
                          "--set", "NOV,IMP", "--topic", "D",
@@ -231,6 +248,14 @@ def test_principles_random_corpus(capsys):
                        "--semantics", "QE", "--expect-satisfied")
     assert code == 0
     assert "satisfied over corpus" in out
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_principles_random_rejects_an_empty_corpus(capsys, n):
+    code, out, err = run(capsys, "principles", "--random", f"seed=1,n={n}",
+                         "--expect-satisfied")
+    assert code == 2 and out == ""
+    assert f"n={n}" in err
 
 
 def test_principles_needs_input(capsys):

@@ -118,6 +118,10 @@ def test_game_values_equal_plain_evaluation_on_random_graphs():
                 assert game.value(game.mask(removed)) == evaluate(kept, sem)[topic]
                 assert (game.value(detached=game.mask(detached))
                         == evaluate(detach_incoming(g, detached), sem)[topic])
+                # one bit layout: a member mask, null players included, is a coalition
+                m = sum(1 << game.players.index(x) for x in removed)
+                assert game.value(m) == evaluate(kept, sem)[topic]
+                assert game.mask(removed) == m & game.mask(args)
 
 
 def test_gradient_psi_variants():
