@@ -25,7 +25,9 @@ table of set-function values; names appear only where a method takes them.
 Shapley drops the null players, those outside the cone: exact (partition)
 Shapley enumerates the 2^(k+1) coalitions of the k players left in one
 Gray-code walk that recomputes only the cone nodes a flipped player can
-reach, and Monte-Carlo Shapley draws coalitions of those k players.
+reach, and Monte-Carlo Shapley draws coalitions of those k players (one
+u uniform in [0, 1), then each player joins with probability u) and
+evaluates each distinct coalition drawn once.
 
 The single-argument functions are implemented independently of the set
 functions on purpose: agreement between `single_contribution(kind, ...)`
@@ -38,7 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -176,6 +177,7 @@ class CoalitionGame:
         self._values: dict[int, float] = {}
         self._duals: dict[str, float] = {}
         self._set_values: dict[tuple, float] = {}
+        self._walked: set[frozenset] = set()
         self.computed = 0
 
     @cached_property
@@ -254,7 +256,12 @@ class CoalitionGame:
     def _fill(self, players: Sequence[int]) -> None:
         """Memoise v(S) for every coalition S of `players` (disjoint non-zero
         cone masks) in one Gray-code walk; the player whose first cone node
-        comes latest flips most often."""
+        comes latest flips most often. A set of players walked before is
+        skipped: the memo holds its coalitions already."""
+        walk = frozenset(players)
+        if walk in self._walked:
+            return
+        self._walked.add(walk)
         rank = self._cone[2]  # in topological order, so the first match is the earliest
         first = {p: rank[p] if p in rank else next(i for q, i in rank.items() if p & q)
                  for p in players}
@@ -359,9 +366,18 @@ class CoalitionGame:
         """The set acts as one Shapley player; all other non-topic arguments
         are singleton players. Exact enumeration by default, which raises
         `BudgetError` rather than fall back to sampling; `monte_carlo=True`
-        always estimates from `samples` (at least 1) seeded draws instead.
-        A draw is a coalition S of the k non-null players, a uniform size
-        then uniform members, so S has its Shapley weight |S|!(k-|S|)!/(k+1)!."""
+        always estimates from `samples` (at least 1) seeded draws instead,
+        even when enumerating would take fewer evaluations.
+
+        A draw is a coalition S of the k non-null players (Owen's
+        multilinear extension): u = random(), then each player of
+        `_others` joins, in that order, when random() < u. random() returns
+        multiples of 2^-53, so a player joins with probability exactly u,
+        and S has its Shapley weight, the integral over u of
+        u^|S| (1-u)^(k-|S|), which is |S|!(k-|S|)!/(k+1)!. The draws are
+        tallied by coalition, each distinct marginal v(S) - v(S + set) is
+        evaluated once, and the mean and `std_error` are summed from the
+        (marginal, count) pairs."""
         if not monte_carlo:
             return self.contribution("shapley", members)
         if samples < 1:
@@ -372,13 +388,20 @@ class CoalitionGame:
             return self._result(0.0, "shapley", m, start)
         member_mask = m & self._cone[0]
         players = self._others(m)
-        rng = random.Random(seed)
-        draws = []
+        draw = random.Random(seed).random
+        tally: dict[int, int] = {}
         for _ in range(samples):
-            coalition = sum(rng.sample(players, rng.randint(0, len(players))))
-            draws.append(self.value(coalition) - self.value(coalition | member_mask))
-        value = statistics.fmean(draws)
-        err = statistics.stdev(draws) / math.sqrt(len(draws)) if len(draws) > 1 else None
+            u = draw()
+            coalition = sum([p for p in players if draw() < u])
+            tally[coalition] = tally.get(coalition, 0) + 1
+        marginals = [(self.value(c) - self.value(c | member_mask), n) for c, n in tally.items()]
+        # shifted by one drawn marginal, so a constant marginal has exactly 0 spread
+        first = marginals[0][0]
+        value = first + math.fsum(n * (d - first) for d, n in marginals) / samples
+        err = None
+        if samples > 1:
+            var = math.fsum(n * (d - value) ** 2 for d, n in marginals) / (samples - 1)
+            err = math.sqrt(var) / math.sqrt(samples)
         return self._result(value, "shapley", m, start, std_error=err)
 
     def partition_shapley(

@@ -227,7 +227,7 @@ def test_exact_shapley_equals_plain_enumeration_on_random_graphs():
 
 def test_monte_carlo_shapley_value_is_pinned():
     r = shapley(fixture("fig6-qe"), QE, ("d",), "a", monte_carlo=True, samples=4000, seed=3)
-    assert (r.value, r.std_error) == (-0.0028268496425605293, 0.00026802257246879164)
+    assert (r.value, r.std_error) == (-0.003324901170101032, 0.0002677863896768457)
 
 
 def test_monte_carlo_shapley_rejects_fewer_than_one_sample():
@@ -272,6 +272,33 @@ def test_monte_carlo_shapley_within_four_standard_errors_of_exact():
         exact = game.shapley(members).value
         assert est.std_error > 0
         assert abs(est.value - exact) <= 4 * est.std_error
+        checked += 1
+
+
+def test_monte_carlo_shapley_of_a_constant_marginal_has_zero_std_error():
+    rng = random.Random(43)
+    grid = tuple(i / 10 for i in range(11))
+    checked = 0
+    while checked < 120:
+        g = random_qbag(rng, n=rng.randint(2, 7), edge_prob=rng.choice((0.4, 0.6)), grid=grid)
+        topic = rng.choice(sorted(g.arguments))
+        others = sorted(g.arguments - {topic})
+        game = CoalitionGame(g, PRESETS[rng.choice(PRESET_NAMES)], topic)
+        if rng.random() < 0.5:  # every player that reaches the topic: k = 0
+            members = [x for x in others if game.mask((x,))] or others
+        else:
+            members = rng.sample(others, rng.randint(1, len(others)))
+        member_mask = game.mask(members)
+        players = [game.mask((x,)) for x in others if x not in members]
+        marginals = {game.value(c) - game.value(c | member_mask)
+                     for r in range(len(players) + 1)
+                     for c in map(sum, itertools.combinations(players, r))}
+        if len(marginals) > 1:
+            continue
+        est = game.shapley(members, monte_carlo=True, samples=rng.choice((3, 7, 2000)),
+                           seed=rng.randrange(2 ** 31))
+        assert est.std_error == 0.0
+        assert abs(est.value - game.shapley(members).value) <= 1e-9
         checked += 1
 
 
