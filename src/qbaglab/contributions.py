@@ -62,7 +62,7 @@ from .semantics import (
     Semantics,
     evaluate,
     evaluate_dual,
-    node_strength,
+    node_steps,
     semantics_from_spec,
 )
 
@@ -150,10 +150,12 @@ class CoalitionGame:
     order (the topic last), each with its sorted parents as (bit, polarity)
     pairs. Arguments outside the cone cannot move the topic, so callers pass
     `m & cone` to `value()` and coalitions that differ only in them share
-    one memo entry. `computed` counts the distinct strength evaluations and
-    dual passes this game has made. `set_value(fn, m)` is the one table of
-    set-function values, keyed by (fn, member mask); the methods that take
-    names (`removal`, ..., `contribution`) validate them and read it.
+    one memo entry. A node update is the semantics' compiled value step
+    (`node_steps`), fetched once per game. `computed` counts the distinct
+    strength evaluations and dual passes this game has made. `set_value(fn,
+    m)` is the one table of set-function values, keyed by (fn, member mask);
+    the methods that take names (`removal`, ..., `contribution`) validate
+    them and read it.
 
     Exact and Monte-Carlo Shapley read one list of players, `_others`,
     without those outside the cone (null players: their marginal
@@ -169,6 +171,7 @@ class CoalitionGame:
     def __init__(self, g: Qbag, sem, topic: str, budget: int = DEFAULT_BUDGET):
         self.graph = g
         self.semantics = semantics_from_spec(sem)
+        self._step = node_steps(self.semantics)[0]
         self.topic = topic
         self.budget = budget
         #: the non-topic arguments, sorted; bit i of a mask is players[i], the topic's is last
@@ -232,14 +235,12 @@ class CoalitionGame:
         """Recompute, in `vals` by bit, the strengths of the cone nodes from
         position `start` of their order on for the coalition (`removed`,
         `detached`) and return the topic's; the nodes before hold them already."""
-        sem = self.semantics
+        step = self._step
         for b, w, parents in self._cone[1][start:]:
             if removed >> b & 1:
                 vals[b] = 0.0  # never read: every edge out of it is cut
                 continue
-            cut = removed | ~detached if detached >> b & 1 else removed
-            live = [(j, pol) for j, pol in parents if not cut >> j & 1]
-            vals[b] = node_strength(sem, w, [pol for _, pol in live], [vals[j] for j, _ in live])
+            vals[b] = step(w, parents, vals, removed | ~detached if detached >> b & 1 else removed)
         return vals[-1]
 
     def value(self, removed: int = 0, detached: int = 0) -> float:

@@ -6,6 +6,14 @@ An argument with no attackers and no supporters keeps its initial strength
 of parents' final strengths), applied in topological order, so each final
 strength is computed exactly once.
 
+Each semantics is compiled once (`node_steps`) into a value step and a
+dual step for one node, its aggregation loop and influence formula
+specialised, that read the node's parents as (index, polarity) pairs
+straight from the strengths computed so far; `evaluate`, `evaluate_dual`
+and the coalition game all run them. They keep the formulas' float
+operations in order: Sum adds and Product multiplies 1 - s in parent order,
+Top keeps the first maximum. A Euler aggregate past e^709 gives the limit.
+
 Derivatives: the composition is piecewise differentiable. At hinge points
 (max{0, x} at x = 0) and inside Top when several entries tie for the max,
 the dual evaluator takes the max's value together with the minimum of the
@@ -18,9 +26,11 @@ is about to take over propagates the losing slope).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import lru_cache
+from typing import Callable
 
 from .errors import InfluenceDomainError, SemanticsError, UnknownArgumentError
 from .graph import Qbag
@@ -42,10 +52,17 @@ class Influence:
     def __post_init__(self):
         if self.kind not in ("linear", "euler", "pmax"):
             raise SemanticsError(f"unknown influence kind: {self.kind!r}")
-        if not self.k > 0:
-            raise SemanticsError(f"influence parameter k must be positive, got {self.k}")
-        if self.kind == "pmax" and (self.p < 1 or int(self.p) != self.p):
-            raise SemanticsError(f"p-Max exponent must be a positive integer, got {self.p}")
+        if not (_is_number(self.k) and self.k > 0):
+            raise SemanticsError(f"influence parameter k must be a positive number, got {self.k!r}")
+        if self.kind == "pmax":
+            if not (_is_number(self.p) and self.p >= 1 and float(self.p).is_integer()):
+                raise SemanticsError(f"p-Max exponent must be a positive integer, got {self.p!r}")
+            object.__setattr__(self, "p", int(self.p))  # so p = 2.0 is p = 2
+        object.__setattr__(self, "k", float(self.k))
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def linear(k: float = 1.0) -> Influence:
@@ -104,87 +121,204 @@ def semantics_from_spec(spec) -> Semantics:
             raise SemanticsError(f"bad influence in custom semantics: {spec!r}")
         kind = inf_spec["kind"]
         if kind == "linear":
-            inf = linear(float(inf_spec.get("k", 1.0)))
+            inf = linear(inf_spec.get("k", 1.0))
         elif kind == "euler":
             inf = euler()
         elif kind == "pmax":
-            inf = pmax(int(inf_spec.get("p", 2)), float(inf_spec.get("k", 1.0)))
+            inf = pmax(inf_spec.get("p", 2), inf_spec.get("k", 1.0))
         else:
             raise SemanticsError(f"unknown influence kind: {kind!r}")
         return Semantics(agg, inf, name=spec.get("name"))
     raise SemanticsError(f"cannot interpret semantics spec: {spec!r}")
 
 
-# --- scalar evaluation -------------------------------------------------------
+# --- node steps, compiled once per semantics ------------------------------------
 
 
-def aggregate(kind: Aggregation, v: Sequence[int], s: Sequence[float]) -> float:
-    """Combine parent strengths `s` with polarities `v` (-1 attack, +1 support,
-    0 no relation). Empty products are 1; an empty max set is 0."""
-    if len(v) != len(s):
-        raise ValueError(f"polarity/strength length mismatch: {len(v)} vs {len(s)}")
-    if kind is Aggregation.SUM:
-        return sum(vi * si for vi, si in zip(v, s))
-    if kind is Aggregation.PRODUCT:
-        att = 1.0
-        sup = 1.0
-        for vi, si in zip(v, s):
-            if vi == -1:
-                att *= 1.0 - si
-            elif vi == 1:
-                sup *= 1.0 - si
-        return att - sup
-    if kind is Aggregation.TOP:
-        m_pos = max([0.0] + [vi * si for vi, si in zip(v, s) if vi != 0])
-        m_neg = max([0.0] + [-vi * si for vi, si in zip(v, s) if vi != 0])
-        return m_pos - m_neg
-    raise SemanticsError(f"unknown aggregation: {kind!r}")
+def node_steps(sem) -> tuple[Callable[..., float], Callable[..., tuple[float, float]]]:
+    """`sem`, any spec `semantics_from_spec` accepts, compiled into two node
+    steps; specs with the same aggregation and influence share them. A node's
+    parents are (index, polarity) pairs into `vals`, the strengths so far.
+    value(w, parents, vals, cut) is the final strength of a node of initial
+    strength `w` whose parents with a bit in the int `cut` are cut, and `w`
+    when none is live. dual(w, dw, parents, vals, ds) is (value, derivative)
+    of a node with a parent and none cut, `ds` holding the parents' duals."""
+    sem = semantics_from_spec(sem)
+    return _compile(sem.aggregation, sem.influence)
 
 
-def influence_value(inf: Influence, w: float, agg: float) -> float:
+@lru_cache(maxsize=64)
+def _compile(aggregation: Aggregation, inf: Influence):
+    value, dual = _influence(inf)
+    if aggregation is Aggregation.SUM:
+        def step(w, parents, vals, cut):
+            live, s = False, 0.0
+            for j, pol in parents:  # added left to right, as sum() did on 3.11
+                if not cut >> j & 1:
+                    live = True
+                    s += pol * vals[j]
+            return value(w, s) if live else w
+
+        def step_dual(w, dw, parents, vals, ds):
+            s = d = 0.0
+            for j, pol in parents:
+                s += pol * vals[j]
+                d += pol * ds[j]
+            return dual(w, dw, s, d)
+
+    elif aggregation is Aggregation.PRODUCT:
+        def step(w, parents, vals, cut):
+            live, att, sup = False, 1.0, 1.0  # empty products are 1
+            for j, pol in parents:
+                if not cut >> j & 1:
+                    live = True
+                    if pol < 0:
+                        att *= 1.0 - vals[j]
+                    else:
+                        sup *= 1.0 - vals[j]
+            return value(w, att - sup) if live else w
+
+        def step_dual(w, dw, parents, vals, ds):
+            sides = {-1: [], 1: []}
+            for j, pol in parents:
+                sides[pol].append((1.0 - vals[j], -ds[j]))
+            (av, ad), (sv, sd) = map(_product_dual, (sides[-1], sides[1]))
+            return dual(w, dw, av - sv, ad - sd)
+
+    elif aggregation is Aggregation.TOP:
+        def step(w, parents, vals, cut):
+            live, top, bottom = False, 0.0, 0.0  # an empty max set is 0
+            for j, pol in parents:
+                if not cut >> j & 1:
+                    live = True
+                    s = pol * vals[j]
+                    if s > top:
+                        top = s
+                    elif -s > bottom:
+                        bottom = -s
+            return value(w, top - bottom) if live else w
+
+        def step_dual(w, dw, parents, vals, ds):
+            pv, pd = _dual_max((pol * vals[j], pol * ds[j]) for j, pol in parents)
+            nv, nd = _dual_max((-pol * vals[j], -pol * ds[j]) for j, pol in parents)
+            return dual(w, dw, pv - nv, pd - nd)
+
+    else:
+        raise SemanticsError(f"unknown aggregation: {aggregation!r}")
+    return step, step_dual
+
+
+def _product_dual(factors: list[tuple[float, float]]) -> tuple[float, float]:
+    """The product of one side's (value, dual) factors as a dual number.
+    Leave-one-out products keep the derivative well defined when some factor
+    is exactly zero (a saturated parent)."""
+    dprod = 0.0
+    for i, (_, dv) in enumerate(factors):
+        dprod += dv * math.prod(v for v, _ in factors[:i] + factors[i + 1:])
+    return math.prod(v for v, _ in factors), dprod
+
+
+def _dual_max(cands) -> tuple[float, float]:
+    """The max of 0 and the (value, dual) pairs `cands` as a dual number: the
+    first maximum, with the smallest dual among those tied with it (0 has dual
+    0), so max{0, x} at x = 0 is the smaller of the duals 0, dx."""
+    best, dbest = 0.0, 0.0
+    for v, d in cands:
+        if v > best:
+            best, dbest = v, d
+        elif v == best and d < dbest:
+            dbest = d
+    return best, dbest
+
+
+def _influence(inf: Influence):
+    """(value(w, s), dual(w, dw, s, ds) -> (value, derivative)) of `inf` at
+    aggregate `s`. Where one hinge of a formula is 0, the value drops the
+    term it zeroes: w - w*0 and x + 0 are w and x bit for bit."""
+    k, p = inf.k, inf.p
     if inf.kind == "linear":
-        k = inf.k
-        if agg < -k - 1e-12 or agg > k + 1e-12:
-            raise InfluenceDomainError(agg, k)
-        return w - (w / k) * max(0.0, -agg) + ((1.0 - w) / k) * max(0.0, agg)
-    if inf.kind == "euler":
-        return 1.0 - (1.0 - w * w) / (1.0 + w * math.exp(agg))
-    if inf.kind == "pmax":
-        return (
-            w
-            - w * _h(-agg / inf.k, inf.p)
-            + (1.0 - w) * _h(agg / inf.k, inf.p)
-        )
-    raise SemanticsError(f"unknown influence kind: {inf.kind!r}")
+        lo, hi = -k - 1e-12, k + 1e-12
+
+        def value(w, s):
+            if s < lo or s > hi:
+                raise InfluenceDomainError(s, k)
+            if s > 0.0:
+                return w + ((1.0 - w) / k) * s
+            if s < 0.0:
+                return w - (w / k) * -s
+            return w + 0.0  # w, but 0.0 for w = -0.0, as the full formula gives
+
+        def dual(w, dw, s, ds):
+            r1v, r1d = _dual_max(((-s, -ds),))
+            r2v, r2d = _dual_max(((s, ds),))
+            return value(w, s), dw - (dw * r1v + w * r1d) / k + (-dw * r2v + (1.0 - w) * r2d) / k
+
+    elif inf.kind == "euler":
+        exp = math.exp
+
+        def value(w, s):
+            try:
+                return 1.0 - (1.0 - w * w) / (1.0 + w * exp(s))
+            except OverflowError:  # e^s beyond floats: the limit as s grows
+                return 1.0 if w > 0.0 else 0.0
+
+        def dual(w, dw, s, ds):
+            try:
+                es = exp(s)
+            except OverflowError:  # the limits as s grows; at w = 0, d/dw is e^s
+                return (1.0, 0.0) if w > 0.0 else (0.0, dw * math.inf if dw else 0.0)
+            den = 1.0 + w * es
+            d_dw = (2.0 * w * den + (1.0 - w * w) * es) / (den * den)
+            d_ds = (1.0 - w * w) * w * es / (den * den)
+            return 1.0 - (1.0 - w * w) / den, dw * d_dw + ds * d_ds
+
+    elif inf.kind == "pmax":
+        def value(w, s):
+            x = s / k
+            if x > 0.0:
+                hx = x ** p
+                return w + (1.0 - w) * (hx / (1.0 + hx))
+            if x < 0.0:
+                hx = (-x) ** p
+                return w - w * (hx / (1.0 + hx))
+            return w + 0.0  # w, but 0.0 for w = -0.0, as the full formula gives
+
+        def h_dual(x, dx):  # max{0, x}^p / (1 + max{0, x}^p); p * 0^(p-1) is 1 at p = 1
+            mv, md = _dual_max(((x, dx),))
+            num, dnum = mv ** p, p * mv ** (p - 1) * md if mv > 0.0 or p == 1 else 0.0
+            den = 1.0 + num
+            return num / den, dnum / (den * den)
+
+        def dual(w, dw, s, ds):
+            h1v, h1d = h_dual(-s / k, -ds / k)
+            h2v, h2d = h_dual(s / k, ds / k)
+            return value(w, s), dw - (dw * h1v + w * h1d) + (-dw * h2v + (1.0 - w) * h2d)
+
+    else:
+        raise SemanticsError(f"unknown influence kind: {inf.kind!r}")
+    return value, dual
 
 
-def _h(x: float, p: int) -> float:
-    hx = max(0.0, x) ** p
-    return hx / (1.0 + hx)
+# --- evaluation -------------------------------------------------------------------
 
 
-def node_strength(sem: Semantics, w: float, v: Sequence[int], s: Sequence[float]) -> float:
-    """Final strength of one argument with initial strength `w` whose parents
-    have polarities `v` and final strengths `s`; no parents means stability."""
-    if not v:
-        return w
-    return influence_value(sem.influence, w, aggregate(sem.aggregation, v, s))
+def _index_parents(g: Qbag) -> tuple[tuple[str, ...], list[list[tuple[int, int]]]]:
+    """`g.order`, and each node's parents as (position in it, polarity)."""
+    order, parents = g.order, g.parents
+    pos = {a: i for i, a in enumerate(order)}
+    return order, [[(pos[src], pol) for src, pol in parents[a]] for a in order]
 
 
 def evaluate(g: Qbag, sem) -> dict[str, float]:
     """Final strength of every argument, one topological pass. `sem` is any
     spec `semantics_from_spec` accepts."""
-    sem = semantics_from_spec(sem)
-    parents = g.parents
-    sigma: dict[str, float] = {}
-    for node in g.order:
-        ps = parents[node]
-        sigma[node] = node_strength(sem, g.initial_strength[node],
-                                    [pol for (_, pol) in ps], [sigma[src] for (src, _) in ps])
-    return sigma
-
-
-# --- forward-mode dual evaluation --------------------------------------------
+    step = node_steps(sem)[0]
+    tau = g.initial_strength
+    order, parents = _index_parents(g)
+    vals: list[float] = []
+    for a, ps in zip(order, parents):
+        vals.append(step(tau[a], ps, vals, 0))
+    return dict(zip(order, vals))
 
 
 @dataclass(frozen=True)
@@ -193,117 +327,28 @@ class Dual:
     deriv: float
 
 
-def _dual_max(cands: list[tuple[float, float]]) -> tuple[float, float]:
-    # value of the max; on ties, the smallest dual among the tied candidates
-    best = max(v for v, _ in cands)
-    return best, min(d for v, d in cands if v == best)
-
-
-def _hinge(x: float, dx: float) -> tuple[float, float]:
-    # max{0, x} as a dual number
-    return _dual_max([(0.0, 0.0), (x, dx)])
-
-
-def _aggregate_dual(
-    kind: Aggregation, parts: list[tuple[int, float, float]]
-) -> tuple[float, float]:
-    """parts: (polarity, value, dual) per parent."""
-    if kind is Aggregation.SUM:
-        return (
-            sum(pol * val for pol, val, _ in parts),
-            sum(pol * d for pol, _, d in parts),
-        )
-    if kind is Aggregation.PRODUCT:
-        def side(target_pol: int) -> tuple[float, float]:
-            vals = [1.0 - val for pol, val, _ in parts if pol == target_pol]
-            duals = [-d for pol, _, d in parts if pol == target_pol]
-            prod = math.prod(vals)
-            # leave-one-out products keep the derivative well defined when
-            # some factor is exactly zero (a saturated parent)
-            dprod = 0.0
-            for i, dv in enumerate(duals):
-                rest = 1.0
-                for j, val in enumerate(vals):
-                    if j != i:
-                        rest *= val
-                dprod += dv * rest
-            return prod, dprod
-        att_v, att_d = side(-1)
-        sup_v, sup_d = side(+1)
-        return att_v - sup_v, att_d - sup_d
-    if kind is Aggregation.TOP:
-        pos = [(0.0, 0.0)] + [(pol * val, pol * d) for pol, val, d in parts if pol != 0]
-        neg = [(0.0, 0.0)] + [(-pol * val, -pol * d) for pol, val, d in parts if pol != 0]
-        pv, pd = _dual_max(pos)
-        nv, nd = _dual_max(neg)
-        return pv - nv, pd - nd
-    raise SemanticsError(f"unknown aggregation: {kind!r}")
-
-
-def _influence_dual(
-    inf: Influence, w: float, dw: float, s: float, ds: float
-) -> tuple[float, float]:
-    if inf.kind == "linear":
-        k = inf.k
-        if s < -k - 1e-12 or s > k + 1e-12:
-            raise InfluenceDomainError(s, k)
-        r1v, r1d = _hinge(-s, -ds)
-        r2v, r2d = _hinge(s, ds)
-        value = w - (w / k) * r1v + ((1.0 - w) / k) * r2v
-        deriv = dw - (dw * r1v + w * r1d) / k + (-dw * r2v + (1.0 - w) * r2d) / k
-        return value, deriv
-    if inf.kind == "euler":
-        es = math.exp(s)
-        den = 1.0 + w * es
-        value = 1.0 - (1.0 - w * w) / den
-        d_dw = (2.0 * w * den + (1.0 - w * w) * es) / (den * den)
-        d_ds = (1.0 - w * w) * w * es / (den * den)
-        return value, dw * d_dw + ds * d_ds
-    if inf.kind == "pmax":
-        h1v, h1d = _h_dual(-s / inf.k, -ds / inf.k, inf.p)
-        h2v, h2d = _h_dual(s / inf.k, ds / inf.k, inf.p)
-        value = w - w * h1v + (1.0 - w) * h2v
-        deriv = dw - (dw * h1v + w * h1d) + (-dw * h2v + (1.0 - w) * h2d)
-        return value, deriv
-    raise SemanticsError(f"unknown influence kind: {inf.kind!r}")
-
-
-def _h_dual(x: float, dx: float, p: int) -> tuple[float, float]:
-    mv, md = _hinge(x, dx)
-    num = mv ** p
-    if p == 1:
-        dnum = md
-    elif mv > 0.0:
-        dnum = p * mv ** (p - 1) * md
-    else:
-        dnum = 0.0
-    den = 1.0 + num
-    return num / den, dnum / (den * den)
-
-
 def evaluate_dual(g: Qbag, sem, seed: str) -> dict[str, Dual]:
     """Final strengths together with d(final strength)/d(tau(seed)).
 
     The value parts equal evaluate(g, sem); the derivative parts propagate
-    through the aggregation/influence composition by the chain rule.
+    through the aggregation/influence composition by the chain rule, which
+    gives exactly 0.0 to a node other than the seed whose parents all have
+    derivative 0, so that node only needs its value.
     """
-    sem = semantics_from_spec(sem)
+    step, dual = node_steps(sem)
     if seed not in g.arguments:
         raise UnknownArgumentError([seed])
-    parents = g.parents
-    out: dict[str, Dual] = {}
-    for node in g.order:
-        w = g.initial_strength[node]
-        dw = 1.0 if node == seed else 0.0
-        ps = parents[node]
-        if not ps:
-            out[node] = Dual(w, dw)
-            continue
-        parts = [(pol, out[src].value, out[src].deriv) for (src, pol) in ps]
-        s, ds = _aggregate_dual(sem.aggregation, parts)
-        value, deriv = _influence_dual(sem.influence, w, dw, s, ds)
-        out[node] = Dual(value, deriv)
-    return out
+    tau = g.initial_strength
+    order, parents = _index_parents(g)
+    vals: list[float] = []
+    ds: list[float] = []
+    for a, ps in zip(order, parents):
+        dw = 1.0 if a == seed else 0.0
+        moves = ps and (dw or any(ds[j] for j, _ in ps))
+        v, d = dual(tau[a], dw, ps, vals, ds) if moves else (step(tau[a], ps, vals, 0), dw)
+        vals.append(v)
+        ds.append(d)
+    return {a: Dual(v, d) for a, v, d in zip(order, vals, ds)}
 
 
 # --- stability ----------------------------------------------------------------

@@ -63,6 +63,15 @@ def test_eval_inline_semantics_spec(capsys):
     assert json.loads(out)["final"]["a"] == 0.3875178986219915
 
 
+@pytest.mark.parametrize("influence", ['{"kind": "pmax", "k": "abc"}',
+                                       '{"kind": "pmax", "p": 2.5}'])
+def test_eval_bad_influence_parameter_is_a_semantics_error(capsys, influence):
+    spec = f'{{"aggregation": "sum", "influence": {influence}}}'
+    code, out, err = run(capsys, "eval", "fig1a", "--semantics", spec)
+    assert code == 3
+    assert out == "" and "Traceback" not in err
+
+
 def test_eval_cyclic_file(capsys, tmp_path):
     path = tmp_path / "loop.json"
     path.write_text(json.dumps({

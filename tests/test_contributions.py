@@ -24,13 +24,14 @@ from qbaglab.contributions import (
 from qbaglab.errors import (
     BudgetError,
     ContributorError,
+    InfluenceDomainError,
     TopicInSetError,
     UnknownArgumentError,
 )
 from qbaglab.fixtures import fixture
 from qbaglab.graph import detach_incoming, qbag, restrict
 from qbaglab.principles import random_qbag
-from qbaglab.semantics import PRESET_NAMES, PRESETS, evaluate
+from qbaglab.semantics import PRESET_NAMES, PRESETS, Aggregation, Semantics, evaluate, linear
 
 QE = PRESETS["QE"]
 
@@ -122,6 +123,20 @@ def test_game_values_equal_plain_evaluation_on_random_graphs():
                 m = sum(1 << game.players.index(x) for x in removed)
                 assert game.value(m) == evaluate(kept, sem)[topic]
                 assert game.mask(removed) == m & game.mask(args)
+
+
+def test_linear_domain_error_on_the_game_path():
+    # the graph of test_linear_domain_error: a's Sum aggregate is 2 > k = 1
+    g = qbag({"a": 0.5, "b": 1.0, "c": 1.0}, supports=[("b", "a"), ("c", "a")])
+    sem = Semantics(Aggregation.SUM, linear(1.0))
+    with pytest.raises(InfluenceDomainError):
+        removal(g, sem, ("b",), "a")
+    game = CoalitionGame(g, sem, "a")
+    with pytest.raises(InfluenceDomainError):
+        game.value()
+    with pytest.raises(InfluenceDomainError):
+        game.value(detached=game.mask(("b",)))
+    assert game.value(game.mask(("b",))) == 1.0  # one supporter left is in the domain
 
 
 def test_gradient_psi_variants():

@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qbaglab.contributions import CoalitionGame
 from qbaglab.errors import InfluenceDomainError, SemanticsError
 from qbaglab.fixtures import fixture
 from qbaglab.graph import qbag, restrict, influencers, set_initial_strength
@@ -12,13 +14,14 @@ from qbaglab.semantics import (
     PRESET_NAMES,
     PRESETS,
     Aggregation,
+    Dual,
     Semantics,
     check_stability,
     evaluate,
     evaluate_dual,
     euler,
-    influence_value,
     linear,
+    node_steps,
     pmax,
     semantics_from_spec,
 )
@@ -81,6 +84,24 @@ def test_entry_points_accept_every_semantics_spec():
         assert verdict.satisfied and verdict.checked == 2
 
 
+def test_semantics_from_spec_rejects_bad_influence_parameters():
+    for inf in ({"kind": "pmax", "p": 2.5}, {"kind": "pmax", "k": "abc"},
+                {"kind": "pmax", "p": "two"}, {"kind": "pmax", "p": True},
+                {"kind": "linear", "k": None}, {"kind": "linear", "k": 0}):
+        with pytest.raises(SemanticsError):
+            semantics_from_spec({"aggregation": "sum", "influence": inf})
+    sem = semantics_from_spec({"aggregation": "sum", "influence": {"kind": "pmax", "p": 2.0}})
+    assert sem.influence == pmax(2) and type(sem.influence.p) is int
+
+
+def test_equal_specs_share_one_compiled_step():
+    custom = {"aggregation": "sum", "influence": {"kind": "pmax", "p": 2, "k": 1}}
+    steps = node_steps("QE")
+    for spec in (PRESETS["QE"], custom, Semantics(Aggregation.SUM, pmax(2.0, 1.0))):
+        assert node_steps(spec) is steps
+    assert node_steps("EB") is not steps
+
+
 def test_semantics_from_spec_rejects_unknown():
     with pytest.raises(SemanticsError):
         semantics_from_spec("qe")  # case sensitive
@@ -97,9 +118,26 @@ def test_linear_domain_error():
 
 
 def test_euler_influence_identity_at_zero_aggregate():
-    inf = euler()
+    # one supporter of strength 0 makes the Sum aggregate exactly 0
     for w in GRID:
-        assert abs(influence_value(inf, w, 0.0) - w) <= 1e-12
+        g = qbag({"a": w, "b": 0.0}, supports=[("b", "a")])
+        assert abs(evaluate(g, PRESETS["EB"])["a"] - w) <= 1e-12
+
+
+def test_euler_influence_past_the_float_range_gives_its_limit():
+    # 720 full-strength supporters: e^720 exceeds the floats
+    tau = {f"s{i}": 1.0 for i in range(720)}
+    supports = [(x, "a") for x in tau]
+    for w, limit in ((0.5, 1.0), (0.0, 0.0)):
+        g = qbag({**tau, "a": w}, supports=supports)
+        assert evaluate(g, "EB")["a"] == limit
+        assert evaluate_dual(g, "EB", "s0")["a"] == Dual(limit, 0.0)
+        assert evaluate_dual(g, "EB", "a")["a"] == Dual(limit, 0.0 if w else math.inf)
+        assert CoalitionGame(g, "EB", "a").value() == limit
+    # just below the overflow the formula itself is used
+    g = qbag({**{f"s{i}": 1.0 for i in range(700)}, "a": 0.5},
+             supports=[(f"s{i}", "a") for i in range(700)])
+    assert evaluate(g, "EB")["a"] == 1.0 - (1.0 - 0.25) / (1.0 + 0.5 * math.exp(700.0))
 
 
 def test_empty_products_make_isolated_aggregate_zero():
@@ -211,3 +249,55 @@ def test_dual_matches_central_difference_at_interior_points(seed, name):
             if abs(forward - backward) > 1e-6:
                 continue  # kink: strength not differentiable here
             assert abs(duals[a].deriv - (forward + backward) / 2) <= 1e-6
+
+
+# --- values pinned bit for bit ---------------------------------------------------
+
+BATTERY_SEMANTICS = (
+    *PRESETS.values(),
+    Semantics(Aggregation.TOP, pmax(2)),
+    Semantics(Aggregation.PRODUCT, euler()),
+    Semantics(Aggregation.SUM, pmax(3, 0.5)),
+    Semantics(Aggregation.SUM, linear(2.0)),
+)
+
+
+def _battery_record(fn) -> str:
+    try:
+        return repr(fn())
+    except InfluenceDomainError as exc:
+        return f"InfluenceDomainError({exc})"
+
+
+def _battery_lines():
+    """repr of evaluate, evaluate_dual (each seed) and CoalitionGame.value on
+    four (removed, detached) masks, on 200 seeded graphs under the presets and
+    four custom semantics; half the graphs draw strengths off the 0.1 grid,
+    -0.0 among them."""
+    rng = random.Random(20261018)
+    for i in range(200):
+        grid = GRID if i % 2 else [0.0, -0.0, 1.0, *(rng.random() for _ in range(5))]
+        g = random_qbag(rng, rng.randint(2, 8), rng.choice((0.2, 0.4, 0.6)), grid)
+        args = sorted(g.arguments)
+        n = len(args)
+        masks = [(0, 0), *((rng.getrandbits(n - 1), rng.getrandbits(n - 1)) for _ in range(3))]
+        for sem in BATTERY_SEMANTICS:
+            yield f"{i} {sem.label()} evaluate {_battery_record(lambda: evaluate(g, sem))}"
+            for x in args:
+                yield f"{i} {sem.label()} dual {x} " + _battery_record(
+                    lambda: [(a, d.value, d.deriv) for a, d in evaluate_dual(g, sem, x).items()])
+            game = CoalitionGame(g, sem, g.order[-1])
+            for removed, detached in masks:
+                yield f"{i} {sem.label()} game {removed} {detached} " + _battery_record(
+                    lambda: game.value(removed, detached))
+
+
+def test_seeded_battery_is_pinned():
+    # Pinned before the semantics were compiled into node steps; any change
+    # to a value, a derivative (the sign of a zero included) or a domain
+    # error changes the digest.
+    lines = list(_battery_lines())
+    assert len(lines) == 17487
+    assert sum("InfluenceDomainError" in line for line in lines) == 89
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "fa7c31f8abedc6d049116527d366020d95c1c0c5a43c4e3f060d9e3da0205727"
