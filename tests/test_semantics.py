@@ -293,9 +293,8 @@ def _battery_lines():
 
 
 def test_seeded_battery_is_pinned():
-    # Pinned before the semantics were compiled into node steps; any change
-    # to a value, a derivative (the sign of a zero included) or a domain
-    # error changes the digest.
+    # Recorded from the uncompiled per-node formulas. Any change to a value,
+    # a derivative (the sign of a zero included) or a domain error changes it.
     lines = list(_battery_lines())
     assert len(lines) == 17487
     assert sum("InfluenceDomainError" in line for line in lines) == 89
