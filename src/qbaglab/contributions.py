@@ -37,13 +37,14 @@ not a tautology.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BudgetError,
@@ -51,15 +52,10 @@ from .errors import (
     TopicInSetError,
     UnknownArgumentError,
 )
-from .graph import (
-    Qbag,
-    detach_incoming,
-    influencers,
-    restrict,
-    set_initial_strength,
-)
+from .graph import Qbag, _strength, _with_tau, detach_incoming, restrict
 from .semantics import (
     Semantics,
+    dual_pass,
     evaluate,
     evaluate_dual,
     node_steps,
@@ -170,13 +166,18 @@ class CoalitionGame:
 
     def __init__(self, g: Qbag, sem, topic: str, budget: int = DEFAULT_BUDGET):
         self.graph = g
+        #: the graph whose arguments and edges the game is played on
+        self._edges = g
         self.semantics = semantics_from_spec(sem)
-        self._step = node_steps(self.semantics)[0]
+        self._steps = node_steps(self.semantics)
         self.topic = topic
         self.budget = budget
         #: the non-topic arguments, sorted; bit i of a mask is players[i], the topic's is last
         self.players = tuple(sorted(g.arguments - {topic}))
         self._index = {a: i for i, a in enumerate((*self.players, topic))}
+        self._clear()
+
+    def _clear(self) -> None:
         self._values: dict[int, float] = {}
         self._duals: dict[str, float] = {}
         self._set_values: dict[tuple, float] = {}
@@ -184,16 +185,47 @@ class CoalitionGame:
         self.computed = 0
 
     @cached_property
-    def _cone(self) -> tuple[int, list[tuple[int, float, tuple]], dict[int, int]]:
-        """(cone mask; (bit, tau, parents) per cone node in topological order;
-        each node's position in that order, keyed by its mask)."""
-        g, index = self.graph, self._index
-        cone = influencers(g, self.topic, include_topic=True)
-        nodes = [(index[a], g.initial_strength[a],
-                  tuple((index[src], pol) for src, pol in g.parents[a]))
-                 for a in g.order if a in cone]
-        rank = {1 << b: i for i, (b, _, _) in enumerate(nodes)}
-        return sum(1 << index[a] for a in cone), nodes, rank
+    def _cone(self) -> tuple[int, list[tuple[int, tuple]], dict[int, int]]:
+        """(cone mask; (bit, parents as (bit, polarity)) per cone node in plan
+        order, the topic last; each node's position in it, keyed by its mask)."""
+        order, parents = self._edges.plan
+        if self.topic not in order:
+            raise UnknownArgumentError([self.topic])
+        t = order.index(self.topic)
+        inside = [False] * t + [True]
+        for i in range(t, -1, -1):  # the topic's ancestors, sinks first
+            if inside[i]:
+                for j, _ in parents[i]:
+                    inside[j] = True
+        bit = [self._index[a] for a in order]
+        nodes = [(bit[i], tuple([(bit[j], pol) for j, pol in parents[i]]))
+                 for i in range(t + 1) if inside[i]]
+        rank = {1 << b: i for i, (b, _) in enumerate(nodes)}
+        return sum(rank), nodes, rank
+
+    @cached_property
+    def _tau(self) -> list[float]:
+        """The initial strengths by bit."""
+        return [self.graph.initial_strength[a] for a in self._index]
+
+    @cached_property
+    def graph(self) -> Qbag:
+        """The graph; a game from `with_strengths` builds it when first read."""
+        return _with_tau(self._edges, dict(zip(self._index, self._tau)))
+
+    def with_strengths(self, tau: Mapping[str, float]) -> CoalitionGame:
+        """This game over the initial strengths `tau` (id -> strength) swapped
+        in: it shares the compiled cone and starts with empty memos."""
+        self._cone  # compiled here, once for every game over these edges
+        game = copy.copy(self)
+        game._tau = list(self._tau)
+        for a, w in tau.items():
+            if a not in self._index:
+                raise UnknownArgumentError([a])
+            game._tau[self._index[a]] = _strength(a, w)
+        game.__dict__.pop("graph", None)
+        game._clear()
+        return game
 
     def names(self, m: int) -> tuple[str, ...]:
         """The players in member mask `m`, sorted; one step per member."""
@@ -207,7 +239,7 @@ class CoalitionGame:
     def _member_mask(self, members: Iterable[str]) -> int:
         """The member mask of `members`; every name known, the topic not one."""
         members = frozenset(members)
-        unknown = {x for x in members | {self.topic} if x not in self.graph.arguments}
+        unknown = {x for x in members | {self.topic} if x not in self._edges.arguments}
         if unknown:
             raise UnknownArgumentError(unknown)
         if self.topic in members:
@@ -235,12 +267,13 @@ class CoalitionGame:
         """Recompute, in `vals` by bit, the strengths of the cone nodes from
         position `start` of their order on for the coalition (`removed`,
         `detached`) and return the topic's; the nodes before hold them already."""
-        step = self._step
-        for b, w, parents in self._cone[1][start:]:
+        step, tau = self._steps[0], self._tau
+        for b, parents in self._cone[1][start:]:
             if removed >> b & 1:
                 vals[b] = 0.0  # never read: every edge out of it is cut
                 continue
-            vals[b] = step(w, parents, vals, removed | ~detached if detached >> b & 1 else removed)
+            vals[b] = step(tau[b], parents, vals,
+                           removed | ~detached if detached >> b & 1 else removed)
         return vals[-1]
 
     def value(self, removed: int = 0, detached: int = 0) -> float:
@@ -281,10 +314,12 @@ class CoalitionGame:
                 dirty = len(rank)
 
     def dual(self, x: str) -> float:
-        """d(topic strength) / d(tau(x)), one forward-mode pass per member."""
+        """d(topic strength) / d(tau(x)), one forward-mode pass over the cone
+        per member."""
         hit = self._duals.get(x)
         if hit is None:
-            hit = self._duals[x] = evaluate_dual(self.graph, self.semantics, x)[self.topic].deriv
+            ds = dual_pass(self._steps, self._cone[1], self._tau, self._index[x], len(self._index))[1]
+            hit = self._duals[x] = ds[-1]
             self.computed += 1
         return hit
 
@@ -416,7 +451,7 @@ class CoalitionGame:
         blocks = Partition(tuple(partition)).blocks
         if members not in blocks:
             raise ContributorError("the contributor set must be one of the partition blocks")
-        if frozenset().union(*blocks) != self.graph.arguments - {self.topic}:
+        if frozenset().union(*blocks) != self._edges.arguments - {self.topic}:
             raise ContributorError("partition blocks must cover exactly the non-topic arguments")
         start = self.computed
         others = sorted((b for b in blocks if b != members), key=sorted)
@@ -613,7 +648,8 @@ def sign_map(
         raise UnknownArgumentError(unknown)
     if not (0.0 < step <= 0.5):
         raise ContributorError(f"grid step must be in (0, 0.5], got {step}")
-    # every grid point has the same players, so one member mask per set serves all
+    # every grid point has the same edges: one compiled game serves all, and
+    # each point swaps in its two strengths
     base = CoalitionGame(g, sem, topic)
     masks = [base._member_mask(s) for s in contributor_sets]
     labels = tuple(",".join(base.names(m)) for m in masks)
@@ -627,8 +663,7 @@ def sign_map(
     rows = []
     for e1 in grid:
         for e2 in grid:
-            g_mod = set_initial_strength(set_initial_strength(g, x1, e1), x2, e2)
-            game = CoalitionGame(g_mod, sem, topic)
+            game = base.with_strengths({x1: e1, x2: e2})
             signs = tuple(sign(game.set_value(function, m)) for m in masks)
             rows.append((e1, e2, signs))
     return SignMap(sweep=(x1, x2), step=step, labels=labels, rows=tuple(rows))

@@ -8,13 +8,21 @@ graphs hash alike. The builders reject a strength outside [0, 1] or NaN
 (StrengthRangeError); the raw `Qbag(...)` constructor checks nothing, so
 that `validate` can report every breach at once.
 
-This module is the one place that reads adjacency off the edge sets. Each
-graph derives it once, on first use, and a strength-only copy shares it:
-`parents` maps every argument to its sorted (id, polarity) pairs and
-`order` is its `topological_order`. Every reader (the evaluators,
-`influencers`, the coalition game) walks those. An edge whose endpoint is
-not an argument raises `UnknownArgumentError` the first time `parents` is
-read; `validate` reports it with every other breach.
+This module is the one place that reads adjacency off the edge sets, once
+per edge structure. The evaluators and the coalition game walk a graph's
+`plan`: its arguments in a topological order and, per position, the
+parents as (position, polarity) pairs in parent-id order. A graph built
+from edges compiles it on first use from `parents` (sorted (id, polarity)
+pairs per argument) and `order` (its `topological_order`), and then drops
+`parents` until it is read again. A strength-only copy shares its source's
+plan; a `restrict` or `detach_incoming` child filters its parent's, with
+no `parents` and no Kahn (it derives its own `parents` or `order` only if
+read), unless the parent's plan cannot compile (a dangling edge, a cycle).
+A child's plan order is its parent's, filtered, not always the child's
+own `order`: `evaluate`'s dict iterates in plan order, and every consumer
+reads it by key or sorts it. An edge whose endpoint is not an argument
+raises `UnknownArgumentError` when `parents` or the plan is first read;
+`validate` reports it with every other breach.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     CycleError,
@@ -36,6 +44,37 @@ from .errors import (
 
 ArgumentId = str
 Edge = tuple[ArgumentId, ArgumentId]
+
+
+class Plan(NamedTuple):
+    """A graph's arguments in a topological `order`, and per position in it
+    the argument's `parents` as (position, polarity) pairs in parent-id
+    order: all an evaluator needs besides the strengths."""
+
+    order: tuple[ArgumentId, ...]
+    parents: tuple[tuple[tuple[int, int], ...], ...]
+
+    # tuples are built from lists: a tuple a generator fills ends on a free
+    # list that exact-size builds never drain, megabytes over much surgery
+    def restricted(self, keep: frozenset) -> Plan:
+        """The plan of the subgraph induced by `keep`, this one if it keeps all."""
+        order, parents = self
+        kept = [i for i, a in enumerate(order) if a in keep]
+        if len(kept) == len(order):
+            return self
+        new = [-1] * len(order)  # old position -> new, -1 if dropped
+        for k, i in enumerate(kept):
+            new[i] = k
+        return Plan(tuple([order[i] for i in kept]),
+                    tuple([tuple([(new[j], pol) for j, pol in parents[i] if new[j] >= 0])
+                           for i in kept]))
+
+    def detached(self, x_set: frozenset) -> Plan:
+        """The plan with every edge entering `x_set` from outside cut."""
+        inside = [a in x_set for a in self.order]
+        return Plan(self.order, tuple([
+            tuple([p for p in ps if inside[p[0]]]) if inside[i] else ps
+            for i, ps in enumerate(self.parents)]))
 
 
 @dataclass(frozen=True)
@@ -74,6 +113,17 @@ class Qbag:
     def order(self) -> tuple[ArgumentId, ...]:
         """`topological_order(self)`, computed once."""
         return tuple(topological_order(self))
+
+    @cached_property
+    def plan(self) -> Plan:
+        """The evaluation plan (see the module docstring)."""
+        kept = "parents" in self.__dict__
+        order, parents = self.order, self.parents
+        if not kept:
+            del self.__dict__["parents"]
+        pos = {a: i for i, a in enumerate(order)}
+        return Plan(order, tuple([tuple([(pos[src], pol) for src, pol in parents[a]])
+                                  for a in order]))
 
     def edges(self) -> frozenset[Edge]:
         return self.attacks | self.supports
@@ -222,16 +272,27 @@ def _require_known(g: Qbag, ids: Iterable[ArgumentId]) -> None:
         raise UnknownArgumentError(unknown)
 
 
+def _inherit(h: Qbag, g: Qbag, derive) -> Qbag:
+    """`h`, planned by `derive(g.plan)`; if `g`'s plan cannot compile (a
+    dangling edge, a cycle), `h` compiles its own from its edges when read."""
+    try:
+        h.__dict__["plan"] = derive(g.plan)  # where cached_property keeps it
+    except (UnknownArgumentError, CycleError):
+        pass
+    return h
+
+
 def restrict(g: Qbag, keep: Iterable[ArgumentId]) -> Qbag:
     """Induced subgraph on `keep`: drop other arguments and edges touching them."""
     keep = frozenset(keep)
     _require_known(g, keep)
-    return Qbag(
+    h = Qbag(
         arguments=keep,
-        attacks=frozenset((x, y) for (x, y) in g.attacks if x in keep and y in keep),
-        supports=frozenset((x, y) for (x, y) in g.supports if x in keep and y in keep),
+        attacks=frozenset([e for e in g.attacks if e[0] in keep and e[1] in keep]),
+        supports=frozenset([e for e in g.supports if e[0] in keep and e[1] in keep]),
         initial_strength={a: g.initial_strength[a] for a in keep},
     )
+    return _inherit(h, g, lambda plan: plan.restricted(keep))
 
 
 def detach_incoming(g: Qbag, x_set: Iterable[ArgumentId]) -> Qbag:
@@ -243,22 +304,30 @@ def detach_incoming(g: Qbag, x_set: Iterable[ArgumentId]) -> Qbag:
         y, x = e
         return not (x in x_set and y not in x_set)
 
-    return Qbag(
+    h = Qbag(
         arguments=g.arguments,
-        attacks=frozenset(e for e in g.attacks if keep_edge(e)),
-        supports=frozenset(e for e in g.supports if keep_edge(e)),
+        attacks=frozenset([e for e in g.attacks if keep_edge(e)]),
+        supports=frozenset([e for e in g.supports if keep_edge(e)]),
         initial_strength=g.initial_strength,
     )
+    return _inherit(h, g, lambda plan: plan.detached(x_set))
 
 
 def set_initial_strength(g: Qbag, x: ArgumentId, eps: float) -> Qbag:
     """Return a copy of `g` with tau(x) set to `eps`. The edges are the
-    same, so the copy shares `g`'s `parents` and `order`."""
+    same, so the copy shares `g`'s plan, `parents` and `order`."""
     _require_known(g, [x])
-    tau = g.initial_strength.copy()
-    tau[x] = _strength(x, eps)
+    h = _with_tau(g, {**g.initial_strength, x: _strength(x, eps)})
+    h.__dict__.update(parents=g.parents, order=g.order)
+    return h
+
+
+def _with_tau(g: Qbag, tau: Mapping[ArgumentId, float]) -> Qbag:
+    """`g` with the initial strengths `tau`, taken as given, sharing `g`'s
+    plan, and its `parents` and `order` where computed."""
     h = Qbag(g.arguments, g.attacks, g.supports, tau)
-    h.__dict__.update(parents=g.parents, order=g.order)  # where cached_property keeps them
+    h.__dict__.update(plan=g.plan, **{k: g.__dict__[k] for k in ("parents", "order")
+                                       if k in g.__dict__})
     return h
 
 

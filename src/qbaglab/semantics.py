@@ -10,7 +10,9 @@ Each semantics is compiled once (`node_steps`) into a value step and a
 dual step for one node, its aggregation loop and influence formula
 specialised, that read the node's parents as (index, polarity) pairs
 straight from the strengths computed so far; `evaluate`, `evaluate_dual`
-and the coalition game all run them. They keep the formulas' float
+and the coalition game all run them, over a graph's compiled `plan` or the
+game's cone, and `evaluate_dual` and the game's `dual` share one forward
+loop, `dual_pass`. They keep the formulas' float
 operations in order: Sum adds and Product multiplies 1 - s in parent order,
 Top keeps the first maximum. A Euler aggregate past e^709 gives the limit.
 
@@ -212,9 +214,10 @@ def _product_dual(factors: list[tuple[float, float]]) -> tuple[float, float]:
     """The product of one side's (value, dual) factors as a dual number.
     Leave-one-out products keep the derivative well defined when some factor
     is exactly zero (a saturated parent)."""
-    dprod = 0.0
+    dprod = 0.0  # never -0.0, so a factor of dual +-0.0 adds nothing and is skipped
     for i, (_, dv) in enumerate(factors):
-        dprod += dv * math.prod(v for v, _ in factors[:i] + factors[i + 1:])
+        if dv:
+            dprod += dv * math.prod(v for v, _ in factors[:i] + factors[i + 1:])
     return math.prod(v for v, _ in factors), dprod
 
 
@@ -302,19 +305,12 @@ def _influence(inf: Influence):
 # --- evaluation -------------------------------------------------------------------
 
 
-def _index_parents(g: Qbag) -> tuple[tuple[str, ...], list[list[tuple[int, int]]]]:
-    """`g.order`, and each node's parents as (position in it, polarity)."""
-    order, parents = g.order, g.parents
-    pos = {a: i for i, a in enumerate(order)}
-    return order, [[(pos[src], pol) for src, pol in parents[a]] for a in order]
-
-
 def evaluate(g: Qbag, sem) -> dict[str, float]:
-    """Final strength of every argument, one topological pass. `sem` is any
-    spec `semantics_from_spec` accepts."""
+    """Final strength of every argument, one pass over `g.plan`, in plan
+    order. `sem` is any spec `semantics_from_spec` accepts."""
     step = node_steps(sem)[0]
     tau = g.initial_strength
-    order, parents = _index_parents(g)
+    order, parents = g.plan
     vals: list[float] = []
     for a, ps in zip(order, parents):
         vals.append(step(tau[a], ps, vals, 0))
@@ -328,27 +324,34 @@ class Dual:
 
 
 def evaluate_dual(g: Qbag, sem, seed: str) -> dict[str, Dual]:
-    """Final strengths together with d(final strength)/d(tau(seed)).
-
-    The value parts equal evaluate(g, sem); the derivative parts propagate
-    through the aggregation/influence composition by the chain rule, which
-    gives exactly 0.0 to a node other than the seed whose parents all have
-    derivative 0, so that node only needs its value.
-    """
-    step, dual = node_steps(sem)
+    """Final strengths together with d(final strength)/d(tau(seed)), in plan
+    order; the value parts equal evaluate(g, sem). See `dual_pass`."""
+    steps = node_steps(sem)
     if seed not in g.arguments:
         raise UnknownArgumentError([seed])
     tau = g.initial_strength
-    order, parents = _index_parents(g)
-    vals: list[float] = []
-    ds: list[float] = []
-    for a, ps in zip(order, parents):
-        dw = 1.0 if a == seed else 0.0
-        moves = ps and (dw or any(ds[j] for j, _ in ps))
-        v, d = dual(tau[a], dw, ps, vals, ds) if moves else (step(tau[a], ps, vals, 0), dw)
-        vals.append(v)
-        ds.append(d)
+    order, parents = g.plan
+    vals, ds = dual_pass(steps, enumerate(parents), [tau[a] for a in order],
+                         order.index(seed), len(order))
     return {a: Dual(v, d) for a, v, d in zip(order, vals, ds)}
+
+
+def dual_pass(steps, nodes, tau, seed: int, n: int) -> tuple[list[float], list[float]]:
+    """The values and d/d(tau[seed]) of `nodes` by slot, in lists of `n`
+    slots: `steps` is a pair from `node_steps`, `nodes` (slot, parents)
+    pairs in topological order with parents as (slot, polarity), and `tau`
+    the initial strengths by slot; a slot of no node stays 0.0. The chain
+    rule gives exactly 0.0 to a node other than the seed whose parents all
+    have derivative 0, so that node only needs its value."""
+    step, dual = steps
+    vals, ds = [0.0] * n, [0.0] * n
+    for b, ps in nodes:
+        dw = 1.0 if b == seed else 0.0
+        if ps and (dw or any(ds[j] for j, _ in ps)):
+            vals[b], ds[b] = dual(tau[b], dw, ps, vals, ds)
+        else:
+            vals[b], ds[b] = step(tau[b], ps, vals, 0), dw
+    return vals, ds
 
 
 # --- stability ----------------------------------------------------------------
