@@ -17,8 +17,9 @@ the blocks of a caller-supplied partition of all non-topic arguments.
 
 All of them read one coalition game, `CoalitionGame`: v(S) is the topic's
 final strength once coalition S is removed (or detached). It compiles the
-topic's ancestor cone once and memoises v by bitmask, so a caller asking
-several questions about one (graph, semantics, topic) shares one game.
+topic's ancestor cone from the graph's plan once and memoises v by bitmask,
+so a caller asking several questions about one (graph, semantics, topic)
+shares one game, and `with_strengths` reuses the cone for new strengths.
 Inside the game a set of arguments is one int, so a contributor set's
 member mask is also its coalition, and `set_value(fn, mask)` is the one
 table of set-function values; names appear only where a method takes them.
@@ -141,14 +142,16 @@ class CoalitionGame:
     A set of arguments is one int: bit i is `players[i]` (the non-topic
     arguments, sorted) and bit `len(players)` the topic. So a contributor
     set's *member mask* is also its coalition, and `names(m)` gives it back
-    as sorted names. The graph is compiled once, on first use: the *cone*,
-    the mask of the topic and its ancestors, and its nodes in topological
-    order (the topic last), each with its sorted parents as (bit, polarity)
-    pairs. Arguments outside the cone cannot move the topic, so callers pass
-    `m & cone` to `value()` and coalitions that differ only in them share
-    one memo entry. A node update is the semantics' compiled value step
-    (`node_steps`), fetched once per game. `computed` counts the distinct
-    strength evaluations and dual passes this game has made. `set_value(fn,
+    as sorted names. The graph's plan is compiled once, on first use, into
+    the *cone*: the mask of the topic and its ancestors, and its nodes in
+    plan order (the topic last), each with its parents as (bit, polarity)
+    pairs. The initial strengths are a separate list by bit, so a game from
+    `with_strengths` shares the cone. Arguments outside the cone cannot move
+    the topic, so callers pass `m & cone` to `value()` and coalitions that
+    differ only in them share one memo entry. A node update is the
+    semantics' compiled value step and a dual pass runs its dual step over
+    the cone (`node_steps`). `computed` counts the distinct strength
+    evaluations and dual passes this game has made. `set_value(fn,
     m)` is the one table of set-function values, keyed by (fn, member mask);
     the methods that take names (`removal`, ..., `contribution`) validate
     them and read it.
@@ -201,7 +204,7 @@ class CoalitionGame:
         nodes = [(bit[i], tuple([(bit[j], pol) for j, pol in parents[i]]))
                  for i in range(t + 1) if inside[i]]
         rank = {1 << b: i for i, (b, _) in enumerate(nodes)}
-        return sum(rank), nodes, rank
+        return sum(1 << b for b, _ in nodes), nodes, rank
 
     @cached_property
     def _tau(self) -> list[float]:
@@ -267,8 +270,8 @@ class CoalitionGame:
         """Recompute, in `vals` by bit, the strengths of the cone nodes from
         position `start` of their order on for the coalition (`removed`,
         `detached`) and return the topic's; the nodes before hold them already."""
-        step, tau = self._steps[0], self._tau
-        for b, parents in self._cone[1][start:]:
+        nodes, step, tau = self._cone[1], self._steps[0], self._tau
+        for b, parents in nodes[start:]:
             if removed >> b & 1:
                 vals[b] = 0.0  # never read: every edge out of it is cut
                 continue

@@ -54,14 +54,15 @@ class Plan(NamedTuple):
     order: tuple[ArgumentId, ...]
     parents: tuple[tuple[tuple[int, int], ...], ...]
 
-    # tuples are built from lists: a tuple a generator fills ends on a free
-    # list that exact-size builds never drain, megabytes over much surgery
+    # tuples are built from lists: a tuple grown from a generator is freed
+    # onto a free list that exact-size tuples never take from, and over many
+    # restricts those lists came to hold megabytes
     def restricted(self, keep: frozenset) -> Plan:
         """The plan of the subgraph induced by `keep`, this one if it keeps all."""
         order, parents = self
-        kept = [i for i, a in enumerate(order) if a in keep]
-        if len(kept) == len(order):
+        if len(keep) == len(order):  # `keep` holds only arguments
             return self
+        kept = [i for i, a in enumerate(order) if a in keep]
         new = [-1] * len(order)  # old position -> new, -1 if dropped
         for k, i in enumerate(kept):
             new[i] = k
@@ -119,7 +120,7 @@ class Qbag:
         """The evaluation plan (see the module docstring)."""
         kept = "parents" in self.__dict__
         order, parents = self.order, self.parents
-        if not kept:
+        if not kept:  # many graphs are compiled only for their plan: keep it lean
             del self.__dict__["parents"]
         pos = {a: i for i, a in enumerate(order)}
         return Plan(order, tuple([tuple([(pos[src], pol) for src, pol in parents[a]])
