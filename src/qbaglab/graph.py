@@ -318,17 +318,14 @@ def set_initial_strength(g: Qbag, x: ArgumentId, eps: float) -> Qbag:
     """Return a copy of `g` with tau(x) set to `eps`. The edges are the
     same, so the copy shares `g`'s plan, `parents` and `order`."""
     _require_known(g, [x])
-    h = _with_tau(g, {**g.initial_strength, x: _strength(x, eps)})
-    h.__dict__.update(parents=g.parents, order=g.order)
-    return h
+    return _with_tau(g, {**g.initial_strength, x: _strength(x, eps)})
 
 
 def _with_tau(g: Qbag, tau: Mapping[ArgumentId, float]) -> Qbag:
     """`g` with the initial strengths `tau`, taken as given, sharing `g`'s
-    plan, and its `parents` and `order` where computed."""
+    plan, `parents` and `order`."""
     h = Qbag(g.arguments, g.attacks, g.supports, tau)
-    h.__dict__.update(plan=g.plan, **{k: g.__dict__[k] for k in ("parents", "order")
-                                       if k in g.__dict__})
+    h.__dict__.update(plan=g.plan, parents=g.parents, order=g.order)
     return h
 
 
