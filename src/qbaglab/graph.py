@@ -15,14 +15,14 @@ parents as (position, polarity) pairs in parent-id order. A graph built
 from edges compiles it on first use from `parents` (sorted (id, polarity)
 pairs per argument) and `order` (its `topological_order`), and then drops
 `parents` until it is read again. A strength-only copy shares its source's
-plan; a `restrict` or `detach_incoming` child filters its parent's, with
-no `parents` and no Kahn (it derives its own `parents` or `order` only if
-read), unless the parent's plan cannot compile (a dangling edge, a cycle).
-A child's plan order is its parent's, filtered, not always the child's
-own `order`: `evaluate`'s dict iterates in plan order, and every consumer
-reads it by key or sorts it. An edge whose endpoint is not an argument
-raises `UnknownArgumentError` when `parents` or the plan is first read;
-`validate` reports it with every other breach.
+plan, `parents` and `order`; a `restrict` or `detach_incoming` child filters
+its parent's plan, with no `parents` and no Kahn (it derives its own
+`parents` or `order` only if read), unless the parent's plan cannot compile
+(a dangling edge, a cycle). A child's plan order is its parent's, filtered,
+not always the child's own `order`: `evaluate`'s dict iterates in plan
+order, and every consumer reads it by key or sorts it. An edge whose
+endpoint is not an argument raises `UnknownArgumentError` when `parents` or
+the plan is first read; `validate` reports it with every other breach.
 """
 
 from __future__ import annotations
