@@ -21,8 +21,8 @@ topic's ancestor cone from the graph's plan once and memoises v by bitmask,
 so a caller asking several questions about one (graph, semantics, topic)
 shares one game, and `with_strengths` reuses the cone for new strengths.
 Inside the game a set of arguments is one int, so a contributor set's
-member mask is also its coalition, and `set_value(fn, mask)` is the one
-table of set-function values; names appear only where a method takes them.
+member mask is also its coalition, and `table(fn)` holds the values of one
+set function by mask; names appear only where a method takes them.
 Shapley drops the null players, those outside the cone: exact (partition)
 Shapley enumerates the 2^(k+1) coalitions of the k players left in one
 Gray-code walk that recomputes only the cone nodes a flipped player can
@@ -81,13 +81,6 @@ class Psi(str, Enum):
     MAX = "max"
     MIN = "min"
     MAXABS = "maxabs"
-
-    def combine(self, grads: Sequence[float]) -> float:
-        if self is Psi.MAX:
-            return max(grads)
-        if self is Psi.MIN:
-            return min(grads)
-        return max(abs(g) for g in grads)
 
 
 @dataclass(frozen=True)
@@ -151,10 +144,10 @@ class CoalitionGame:
     differ only in them share one memo entry. A node update is the
     semantics' compiled value step and a dual pass runs its dual step over
     the cone (`node_steps`). `computed` counts the distinct strength
-    evaluations and dual passes this game has made. `set_value(fn,
-    m)` is the one table of set-function values, keyed by (fn, member mask);
-    the methods that take names (`removal`, ..., `contribution`) validate
-    them and read it.
+    evaluations and dual passes this game has made. `table(fn)` holds the
+    values of the set function `fn` by member mask, each computed when
+    first read, and `set_value(fn, m)` reads one; the methods that take
+    names (`removal`, ..., `contribution`) validate them and read it.
 
     Exact and Monte-Carlo Shapley read one list of players, `_others`,
     without those outside the cone (null players: their marginal
@@ -183,7 +176,7 @@ class CoalitionGame:
     def _clear(self) -> None:
         self._values: dict[int, float] = {}
         self._duals: dict[str, float] = {}
-        self._set_values: dict[tuple, float] = {}
+        self._tables: dict[object, dict[int, float]] = {}
         self._walked: set[frozenset] = set()
         self.computed = 0
 
@@ -346,14 +339,29 @@ class CoalitionGame:
                 value += weight * (values[coalition] - values[coalition | member_mask])
         return value
 
+    def table(self, fn) -> dict[int, float]:
+        """The values of the set function `fn` (see `set_value`) by member
+        mask: a dict that computes and keeps a value when first read."""
+        table = self._tables.get(fn)
+        if type(table) is not _Table:
+            # set_value keeps a plain dict until a table is asked for, so a
+            # game read only through it makes no reference cycle and is freed
+            # as soon as it is dropped
+            table = self._tables[fn] = _Table(table or ())
+            table.game, table.fn = self, fn
+        return table
+
     def set_value(self, fn, m: int) -> float:
-        """S(X)(topic) for the contributor set X with member mask `m`, read
-        from the game's one table of set-function values. `fn` is an id from
-        FUNCTION_IDS, or a callable (g, sem, members, topic) -> float for
-        negative-control experiments, given X as a frozenset of names. `m`
-        is not validated: the methods that take names do that."""
-        key = (fn, m)
-        hit = self._set_values.get(key)
+        """S(X)(topic) for the contributor set X with member mask `m`,
+        computed once per game and kept with the values `table(fn)` returns.
+        `fn` is an id from FUNCTION_IDS, or a callable (g, sem, members,
+        topic) -> float for negative-control experiments, given X as a
+        frozenset of names. `m` is not validated: the methods that take names
+        do that."""
+        table = self._tables.get(fn)
+        if table is None:
+            table = self._tables[fn] = {}
+        hit = table.get(m)
         if hit is None:
             if callable(fn):
                 hit = fn(self.graph, self.semantics, frozenset(self.names(m)), self.topic)
@@ -363,7 +371,16 @@ class CoalitionGame:
                         "gradient-based contribution of the empty set is undefined "
                         "(nothing to aggregate)"
                     )
-                hit = _GRADIENT_PSI[fn].combine([self.dual(x) for x in self.names(m)])
+                # the member duals folded by bit as max/min fold them: a tie keeps the first
+                psi, rest = _GRADIENT_PSI[fn], m
+                while rest:
+                    low = rest & -rest
+                    d = self.dual(self.players[low.bit_length() - 1])
+                    if psi is Psi.MAXABS:
+                        d = abs(d)
+                    if rest == m or (d < hit if psi is Psi.MIN else d > hit):
+                        hit = d
+                    rest ^= low
             elif fn == "removal":
                 hit = self.value() - self.value(m & self._cone[0])
             elif fn == "intrinsic":
@@ -373,7 +390,7 @@ class CoalitionGame:
                 hit = self._exact_shapley(m & self._cone[0], self._others(m))
             else:
                 raise _unknown_function(fn)
-            self._set_values[key] = hit
+            table[m] = hit
         return hit
 
     def _result(self, value, function, m, start, std_error=None):
@@ -460,6 +477,16 @@ class CoalitionGame:
         others = sorted((b for b in blocks if b != members), key=sorted)
         value = self._exact_shapley(m & self._cone[0], [p for p in map(self.mask, others) if p])
         return self._result(value, "partition-shapley", m, start)
+
+
+class _Table(dict):
+    """One function's values in one game, by member mask; a miss computes
+    the value through `CoalitionGame.set_value`, which keeps it here."""
+
+    __slots__ = ("game", "fn")
+
+    def __missing__(self, m: int) -> float:
+        return self.game.set_value(self.fn, m)
 
 
 def _unknown_function(fn_id) -> ContributorError:

@@ -4,9 +4,10 @@ A graph couples a finite argument set with two disjoint edge relations
 (attacks and supports) and an initial strength in [0, 1] per argument.
 All surgery operations (restriction, edge detachment, strength updates)
 return fresh graphs; nothing here mutates. A graph is hashable, and equal
-graphs hash alike. The builders reject a strength outside [0, 1] or NaN
-(StrengthRangeError); the raw `Qbag(...)` constructor checks nothing, so
-that `validate` can report every breach at once.
+graphs hash alike; the hash is computed once per graph. The builders reject
+a strength outside [0, 1] or NaN (StrengthRangeError); the raw `Qbag(...)`
+constructor checks nothing, so that `validate` can report every breach at
+once.
 
 This module is the one place that reads adjacency off the edge sets, once
 per edge structure. The evaluators and the coalition game walk a graph's
@@ -91,6 +92,11 @@ class Qbag:
                            MappingProxyType(dict(self.initial_strength)))
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash, computed once; a strength-only copy computes its own."""
         return hash((self.arguments, self.attacks, self.supports,
                      frozenset(self.initial_strength.items())))
 

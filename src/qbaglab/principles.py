@@ -13,8 +13,11 @@ build that game, `run_matrix` shares one per (graph, semantics, topic)
 across all cells, and `qbaglab principles` one per (graph, topic) across
 the table principles. A checked set X is the game's member mask, an int
 (bit i is `game.players[i]`): unions are `x | y`, the subsets of y are
-walked with `(x - 1) & y`, values come from `game.set_value(fn, x)`, and
-names are built only for a witness, by `game.names`.
+walked with `(x - 1) & y`, partitions come from `partition_masks` as tuples
+of block masks, values are read as `table[x]` from the function's
+`game.table(fn)`, and names are built only for a witness, by `game.names`.
+Exhaustive consistency reads each subset's value once and pairs a set only
+with the later sets of its sign class, the only pairs that can violate.
 
 The checked sets come from one place, `_pool`: every non-empty subset of the
 candidate arguments while there are at most `MAX_SUBSET_ARGS` of them
@@ -114,38 +117,36 @@ def _pool(bits: Sequence[int], cfg: SearchConfig, limit: int = MAX_SUBSET_ARGS,
     return (_sample(bits, rng) for _ in range(count)), False
 
 
-def enumerate_partitions(base: Iterable[str]):
-    """All set partitions of `base` in restricted-growth-string order."""
-    items = sorted(base)
-    n = len(items)
-    if n == 0:
-        yield ()
-        return
+def partition_masks(n: int):
+    """Every set partition of the bits 0..n-1 as a tuple of block masks, in
+    restricted-growth-string order: bit i joins each block that holds an
+    earlier bit, in block order, then opens a block of its own."""
     if n > MAX_PARTITION_ARGS:
         raise PartitionSpaceError(n, MAX_PARTITION_ARGS)
-    rgs = [0] * n
-    maxes = [0] * n
+    blocks: list[int] = []
 
-    def emit():
-        nblocks = max(rgs) + 1
-        blocks: list[list[str]] = [[] for _ in range(nblocks)]
-        for i, b in enumerate(rgs):
-            blocks[b].append(items[i])
-        return tuple(frozenset(b) for b in blocks)
-
-    yield emit()
-    while True:
-        i = n - 1
-        while i > 0 and rgs[i] > maxes[i - 1]:
-            i -= 1
-        if i == 0:
+    def place(i: int):
+        if i == n:
+            yield tuple(blocks)
             return
-        rgs[i] += 1
-        maxes[i] = max(maxes[i - 1], rgs[i])
-        for j in range(i + 1, n):
-            rgs[j] = 0
-            maxes[j] = maxes[i]
-        yield emit()
+        bit = 1 << i
+        for b in range(len(blocks)):
+            blocks[b] |= bit
+            yield from place(i + 1)
+            blocks[b] ^= bit
+        blocks.append(bit)
+        yield from place(i + 1)
+        blocks.pop()
+
+    yield from place(0)
+
+
+def enumerate_partitions(base: Iterable[str]):
+    """All set partitions of `base` in restricted-growth-string order: those
+    of `partition_masks`, bit i standing for the i-th element of `base`, sorted."""
+    items = sorted(base)
+    for blocks in partition_masks(len(items)):
+        yield tuple(frozenset([x for i, x in enumerate(items) if b >> i & 1]) for b in blocks)
 
 
 # --- checkers -------------------------------------------------------------------
@@ -209,10 +210,11 @@ def _contribution_existence(fn, game: CoalitionGame, cfg: SearchConfig) -> Princ
                             note="vacuous: final equals initial"),
         )
     pool, exhaustive = _pool(_player_bits(game), cfg)
+    table = game.table(fn)
     checked = 0
     largest = 0.0
     for m in pool:
-        value = game.set_value(fn, m)
+        value = table[m]
         checked += 1
         largest = max(largest, abs(value))
         if abs(value) > TOL:
@@ -253,17 +255,14 @@ def _quantitative_contribution_existence(
         raise ValueError(f"mode must be 'All' or 'Exists', got {mode!r}")
     delta = game.value() - g.initial_strength[a]
     bits = _player_bits(game)
-    # partitions of the players' bits; each block becomes a member mask
-    partitions = (tuple(map(sum, p)) for p in enumerate_partitions(bits))
-
-    def partition_sum(blocks) -> float:
-        return sum(game.set_value(fn, b) for b in blocks)
+    partitions = partition_masks(len(bits))  # each block a member mask
+    table = game.table(fn)
 
     if mode == "all":
         principle = Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE
         checked = 0
         for blocks in partitions:
-            total = partition_sum(blocks)
+            total = sum([table[b] for b in blocks])
             checked += 1
             if abs(total - delta) > TOL:
                 return PrincipleVerdict(
@@ -285,7 +284,7 @@ def _quantitative_contribution_existence(
     candidates = itertools.chain([split], partitions if exhaustive else ())
     best_gap, best_blocks = None, ()
     for checked, blocks in enumerate(candidates, 1):
-        total = partition_sum(blocks)
+        total = sum([table[b] for b in blocks])
         gap = abs(total - delta)
         if best_gap is None or gap < best_gap:
             best_gap, best_blocks = gap, blocks
@@ -332,9 +331,10 @@ def _directionality(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerd
                             note="vacuous: every other argument reaches the topic"),
         )
     pool, _ = _pool(unreachable, cfg)
+    table = game.table(fn)
     checked = 0
     for m in pool:
-        value = game.set_value(fn, m)
+        value = table[m]
         checked += 1
         if abs(value) > TOL:
             return PrincipleVerdict(
@@ -367,10 +367,11 @@ def _counterfactuality(
         else Principle.COUNTERFACTUALITY
     )
     pool, _ = _pool(_player_bits(game), cfg)
+    table, removal = game.table(fn), game.table("removal")
     checked = 0
     for m in pool:
-        value = game.set_value(fn, m)
-        removal_delta = game.set_value("removal", m)
+        value = table[m]
+        removal_delta = removal[m]
         checked += 1
         margin = abs(value - removal_delta)
         bad = margin > TOL if quantitative else sign(value) != sign(removal_delta)
@@ -398,32 +399,73 @@ def check_consistency(
 def _consistency(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdict:
     g, a = game.graph, game.topic
     principle = Principle.CONSISTENCY
+    table = game.table(fn)
     pool, exhaustive = _pool(_player_bits(game), cfg, MAX_PAIR_ARGS, 2 * SAMPLE_SIZE)
-    # every unordered pair (with repeats) of the subsets, or consecutive samples
-    pairs = (itertools.combinations_with_replacement(list(pool), 2) if exhaustive
-             else zip(pool, pool))
-    checked = 0
-    for x, y in pairs:
-        vx, vy = game.set_value(fn, x), game.set_value(fn, y)
-        vu = game.set_value(fn, x | y)
-        checked += 1
-        if vx <= TOL and vy <= TOL and vu > TOL:
-            margin = vu
-        elif vx >= -TOL and vy >= -TOL and vu < -TOL:
-            margin = -vu
-        else:
-            continue
-        return PrincipleVerdict(
-            principle, Status.VIOLATED, checked=checked,
-            witness=Witness(
-                topic=a,
-                sets=(game.names(x), game.names(y), game.names(x | y)),
-                values={"S(X)(a)": vx, "S(Y)(a)": vy,
-                        "S(X∪Y)(a)": vu, "margin": margin},
-                graph=g,
-            ),
-        )
-    return PrincipleVerdict(principle, Status.SATISFIED, checked=checked)
+    if exhaustive:  # every unordered pair (with repeats) of the subsets
+        checked, pair = _first_clash(list(pool), table)
+    else:  # consecutive samples
+        checked, pair = 0, None
+        for x, y in zip(pool, pool):
+            checked += 1
+            if _clash(table[x], table[y], table[x | y]) is not None:
+                pair = x, y
+                break
+    if pair is None:
+        return PrincipleVerdict(principle, Status.SATISFIED, checked=checked)
+    x, y = pair
+    vx, vy, vu = table[x], table[y], table[x | y]
+    return PrincipleVerdict(
+        principle, Status.VIOLATED, checked=checked,
+        witness=Witness(
+            topic=a,
+            sets=(game.names(x), game.names(y), game.names(x | y)),
+            values={"S(X)(a)": vx, "S(Y)(a)": vy,
+                    "S(X∪Y)(a)": vu, "margin": _clash(vx, vy, vu)},
+            graph=g,
+        ),
+    )
+
+
+def _clash(vx: float, vy: float, vu: float) -> float | None:
+    """How far S(X ∪ Y) = `vu` has the sign opposite to the one S(X) = `vx`
+    and S(Y) = `vy` share, or None if it has not."""
+    if vx <= TOL and vy <= TOL and vu > TOL:
+        return vu
+    if vx >= -TOL and vy >= -TOL and vu < -TOL:
+        return -vu
+    return None
+
+
+def _first_clash(pool: list[int], table) -> tuple[int, tuple[int, int] | None]:
+    """(checked, the first pair of `pool` that clashes, or None), pairs in
+    itertools.combinations_with_replacement order, `checked` counting them
+    up to that one; `pool` holds every union of two of its sets. The first
+    set's pairs are walked one by one, which reads every value in the order
+    a walk over all pairs would. After that a pair can clash only inside a
+    sign class, at most TOL or at least -TOL (a value within TOL of 0 is in
+    both), so each class is walked on its own, the second as -S."""
+    n = len(pool)
+    v = [0.0] * (1 + max(pool, default=0))  # values by mask
+    x = pool[0] if pool else 0
+    for j, y in enumerate(pool):
+        v[y], v[x | y] = table[y], table[x | y]
+        if _clash(v[x], v[y], v[x | y]) is not None:
+            return j + 1, (x, y)
+    first = (n, n)
+    for w in (v, [-u for u in v]):  # S(X), S(Y) <= TOL < S(X ∪ Y); then the same for -S
+        part = [i for i in range(1, n) if w[pool[i]] <= TOL]
+        for k, i in enumerate(part):
+            if i > first[0]:
+                break
+            j = next((j for j in part[k:] if w[pool[i] | pool[j]] > TOL), None)
+            if j is not None:
+                first = min(first, (i, j))
+                break
+    i, j = first
+    if i == n:
+        return n * (n + 1) // 2, None
+    # pairs (0, 0..n-1), ..., (i-1, i-1..n-1), then (i, i..j)
+    return i * n - i * (i - 1) // 2 + j - i + 1, (pool[i], pool[j])
 
 
 def check_monotonicity(
@@ -448,15 +490,16 @@ def _monotonicity(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdic
             ),
         )
 
+    table = game.table(fn)
     checked = 0
     if n <= MAX_SUBSET_ARGS:
         # every pair X ⊂ Y, reading S(Y) once per Y
         for y in range(1, 1 << n):
-            vy = game.set_value(fn, y)
+            vy = table[y]
             x = (y - 1) & y
             while x:
                 checked += 1
-                vx = game.set_value(fn, x)
+                vx = table[x]
                 if vx > vy + TOL:
                     return violation(x, y, vx, vy, "X ⊆ Y but S(X) > S(Y)")
                 x = (x - 1) & y
@@ -466,7 +509,7 @@ def _monotonicity(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdic
         for _ in range(SAMPLE_SIZE):
             y = _sample(bits, rng)
             x = _sample([b for b in bits if y & b], rng)
-            vx, vy = game.set_value(fn, x), game.set_value(fn, y)
+            vx, vy = table[x], table[y]
             checked += 1
             if vx > vy + TOL:
                 return violation(x, y, vx, vy)

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -391,6 +393,58 @@ def test_apply_set_function_covers_all_ids():
         assert r.function
     with pytest.raises(ContributorError):
         apply_set_function("bogus", g, QE, ("d",), "a")
+
+
+def test_table_keeps_the_values_set_value_read_and_fills_itself():
+    game = CoalitionGame(fixture("fig1a"), QE, "a")
+    value = game.set_value("removal", 0b11)
+    before = game.computed
+    table = game.table("removal")
+    assert table is game.table("removal") and table[0b11] == value
+    assert game.computed == before
+    assert table[0b1] == game.set_value("removal", 0b1) == removal(
+        fixture("fig1a"), QE, game.names(0b1), "a").value
+
+
+def test_a_game_read_only_through_set_value_is_freed_when_dropped():
+    gc.disable()  # freed by reference counting, not by the cycle collector
+    try:
+        game = CoalitionGame(fixture("fig1a"), QE, "a")
+        game.set_value("removal", 0b11)
+        ref = weakref.ref(game)
+        del game
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _combine(psi, grads):
+    """A gradient set's value from its member duals, as a list in name order."""
+    if psi is Psi.MAX:
+        return max(grads)
+    if psi is Psi.MIN:
+        return min(grads)
+    return max(abs(g) for g in grads)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gradient_set_values_fold_member_duals_like_max_and_min(seed):
+    rng = random.Random(seed)
+    g = random_qbag(rng, n=rng.randint(2, 7), edge_prob=0.5,
+                    grid=tuple(i / 10 for i in range(11)))
+    for name in PRESET_NAMES:
+        for topic in sorted(g.arguments):
+            game = CoalitionGame(g, name, topic)
+            for psi in Psi:
+                for m in range(1, 1 << len(game.players)):
+                    want = _combine(psi, [game.dual(x) for x in game.names(m)])
+                    assert repr(game.set_value(f"gradient-{psi.value}", m)) == repr(want)
+    # a tie between 0.0 and -0.0 keeps the first member's, as max and min do
+    for duals in ((0.0, -0.0), (-0.0, 0.0)):
+        game = CoalitionGame(fixture("fig1a"), QE, "a")
+        game._duals.update(zip(game.players, duals))
+        for psi in Psi:
+            assert repr(game.set_value(f"gradient-{psi.value}", 0b11)) == repr(_combine(psi, duals))
 
 
 def test_result_metadata():

@@ -234,6 +234,16 @@ def test_hash_and_eq_agree_across_json_round_trip(seed):
     assert other != g and len({g, h, other}) == 2
 
 
+def test_a_strength_only_copy_hashes_to_its_own_value():
+    g = small_graph()
+    before = hash(g)  # kept on g from here on
+    h = set_initial_strength(g, "a", 0.9)
+    rebuilt = qbag({**g.initial_strength, "a": 0.9},
+                   attacks=g.attacks, supports=g.supports)
+    assert h == rebuilt and hash(h) == hash(rebuilt) != before
+    assert hash(g) == before == hash(small_graph())
+
+
 def test_json_keeps_full_float_precision():
     g = qbag({"a": 0.1 + 0.2}, attacks=[], supports=[])
     h = graph_from_json(graph_to_json(g))

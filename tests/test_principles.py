@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from qbaglab.fixtures import FIXTURES, fixture
 from qbaglab.graph import can_reach, qbag
 from qbaglab.principles import (
     EXPECTED_VERDICTS,
+    MAX_PARTITION_ARGS,
     SET_FUNCTION_IDS,
     STRENGTH_GRID,
     TABLE_PRINCIPLES,
@@ -21,6 +23,7 @@ from qbaglab.principles import (
     check_monotonicity,
     check_quantitative_contribution_existence,
     enumerate_partitions,
+    partition_masks,
     principle_from_name,
     random_corpus,
     random_qbag,
@@ -30,7 +33,7 @@ from qbaglab.principles import (
     violation_fixture,
 )
 from qbaglab.semantics import PRESET_NAMES, PRESETS, evaluate
-from qbaglab.verdicts import Principle, Status
+from qbaglab.verdicts import Principle, Status, Witness
 
 QE = PRESETS["QE"]
 
@@ -55,6 +58,35 @@ def test_partition_enumeration_order_is_restricted_growth():
 def test_partition_space_guard():
     with pytest.raises(PartitionSpaceError):
         list(enumerate_partitions([str(i) for i in range(11)]))
+
+
+def _restricted_growth_masks(n):
+    """Set partitions of the bits 0..n-1 by the classic restricted-growth loop."""
+    rgs, maxes = [0] * n, [0] * n
+    while True:
+        blocks = [0] * (max(rgs, default=-1) + 1)
+        for i, b in enumerate(rgs):
+            blocks[b] |= 1 << i
+        yield tuple(blocks)
+        i = n - 1
+        while i > 0 and rgs[i] > maxes[i - 1]:
+            i -= 1
+        if i <= 0:
+            return
+        rgs[i] += 1
+        maxes[i] = max(maxes[i - 1], rgs[i])
+        rgs[i + 1:] = [0] * (n - 1 - i)
+        maxes[i + 1:] = [maxes[i]] * (n - 1 - i)
+
+
+def test_partition_masks_are_enumerate_partitions_as_masks():
+    for n in range(9):
+        items = [chr(ord("b") + i) for i in range(n)]
+        want = [tuple(sum(1 << items.index(x) for x in block) for block in p)
+                for p in enumerate_partitions(items)]
+        assert list(partition_masks(n)) == want == list(_restricted_growth_masks(n))
+    with pytest.raises(PartitionSpaceError):
+        next(partition_masks(MAX_PARTITION_ARGS + 1))
 
 
 def test_contribution_existence_gradient_verdicts_on_designated_graph():
@@ -149,6 +181,59 @@ def test_monotonicity_checker_catches_planted_fault():
 
     v = check_monotonicity(shrinking, fixture("fig1a"), QE, "a")
     assert v.status is Status.VIOLATED
+
+
+def _consistency_by_pairs(fn, game):
+    """(status, checked, witness) of consistency over every pair of subsets."""
+    bits = [1 << i for i in range(len(game.players))]
+    pool = [sum(c) for r in range(1, len(bits) + 1) for c in itertools.combinations(bits, r)]
+    checked = 0
+    for x, y in itertools.combinations_with_replacement(pool, 2):
+        vx, vy = game.set_value(fn, x), game.set_value(fn, y)
+        vu = game.set_value(fn, x | y)
+        checked += 1
+        if vx <= 1e-9 and vy <= 1e-9 and vu > 1e-9:
+            margin = vu
+        elif vx >= -1e-9 and vy >= -1e-9 and vu < -1e-9:
+            margin = -vu
+        else:
+            continue
+        return Status.VIOLATED, checked, Witness(
+            topic=game.topic,
+            sets=(game.names(x), game.names(y), game.names(x | y)),
+            values={"S(X)(a)": vx, "S(Y)(a)": vy, "S(X∪Y)(a)": vu, "margin": margin},
+            graph=game.graph,
+        )
+    return Status.SATISFIED, checked, None
+
+
+def _thirds(graph, sem, members, topic):
+    """A negative control: 0, 1 or -1 by the members' letters."""
+    return (0.0, 1.0, -1.0)[sum(map(ord, "".join(members))) % 3]
+
+
+def _late_flip(graph, sem, members, topic):
+    """A negative control that first clashes past the first set's pairs, in
+    both sign classes: with p_i the i-th player, S({p1}) = 0, S({p2}) = -1
+    but S({p1, p2}) = 1, and S({p3}) = 1 but S({p1, p3}) = -1."""
+    p1, p2, p3 = (sorted(graph.arguments - {topic}) + [""] * 3)[1:4]
+    flip = -1.0 if p1 in members else 1.0
+    if p2 in members:
+        return -flip
+    return flip if p3 in members else 0.0
+
+
+def test_consistency_matches_the_pair_walk():
+    rng = random.Random(17)
+    for players in range(1, 8):
+        g = random_qbag(rng, players + 1, (0.3, 0.5, 0.7)[players % 3], STRENGTH_GRID)
+        for topic in sorted(g.arguments):
+            for name in PRESET_NAMES:
+                controls = (_thirds, _late_flip) if name == "QE" else ()
+                for fn in (*SET_FUNCTION_IDS, *controls):
+                    v = check_consistency(fn, g, name, topic)
+                    want = _consistency_by_pairs(fn, CoalitionGame(g, name, topic))
+                    assert (v.status, v.checked, v.witness) == want, (players, topic, name, fn)
 
 
 def test_consistency_checker_catches_planted_fault():
