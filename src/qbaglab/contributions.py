@@ -53,7 +53,7 @@ from .errors import (
     TopicInSetError,
     UnknownArgumentError,
 )
-from .graph import Qbag, _strength, _with_tau, detach_incoming, restrict
+from .graph import Qbag, _require_known, _strength, _with_tau, detach_incoming, restrict
 from .semantics import (
     Semantics,
     dual_pass,
@@ -144,10 +144,10 @@ class CoalitionGame:
     differ only in them share one memo entry. A node update is the
     semantics' compiled value step and a dual pass runs its dual step over
     the cone (`node_steps`). `computed` counts the distinct strength
-    evaluations and dual passes this game has made. `table(fn)` holds the
-    values of the set function `fn` by member mask, each computed when
-    first read, and `set_value(fn, m)` reads one; the methods that take
-    names (`removal`, ..., `contribution`) validate them and read it.
+    evaluations and dual passes this game has made. `set_value(fn, m)`
+    computes the set function `fn` of member mask `m` from those memos;
+    `table(fn)` is the one store of its values, each kept when first read.
+    The methods that take names (`removal`, ...) validate them.
 
     Exact and Monte-Carlo Shapley read one list of players, `_others`,
     without those outside the cone (null players: their marginal
@@ -181,9 +181,9 @@ class CoalitionGame:
         self.computed = 0
 
     @cached_property
-    def _cone(self) -> tuple[int, list[tuple[int, tuple]], dict[int, int]]:
+    def _cone(self) -> tuple[int, list[tuple[int, tuple]]]:
         """(cone mask; (bit, parents as (bit, polarity)) per cone node in plan
-        order, the topic last; each node's position in it, keyed by its mask)."""
+        order, the topic last)."""
         order, parents = self._edges.plan
         if self.topic not in order:
             raise UnknownArgumentError([self.topic])
@@ -196,8 +196,7 @@ class CoalitionGame:
         bit = [self._index[a] for a in order]
         nodes = [(bit[i], tuple([(bit[j], pol) for j, pol in parents[i]]))
                  for i in range(t + 1) if inside[i]]
-        rank = {1 << b: i for i, (b, _) in enumerate(nodes)}
-        return sum(1 << b for b, _ in nodes), nodes, rank
+        return sum(1 << b for b, _ in nodes), nodes
 
     @cached_property
     def _tau(self) -> list[float]:
@@ -235,9 +234,7 @@ class CoalitionGame:
     def _member_mask(self, members: Iterable[str]) -> int:
         """The member mask of `members`; every name known, the topic not one."""
         members = frozenset(members)
-        unknown = {x for x in members | {self.topic} if x not in self._edges.arguments}
-        if unknown:
-            raise UnknownArgumentError(unknown)
+        _require_known(self._edges, members | {self.topic})
         if self.topic in members:
             raise TopicInSetError(
                 f"topic {self.topic!r} must not be part of the contributor set")
@@ -292,9 +289,8 @@ class CoalitionGame:
         if walk in self._walked:
             return
         self._walked.add(walk)
-        rank = self._cone[2]  # in topological order, so the first match is the earliest
-        first = {p: rank[p] if p in rank else next(i for q, i in rank.items() if p & q)
-                 for p in players}
+        nodes = self._cone[1]
+        first = {p: next(i for i, (b, _) in enumerate(nodes) if p >> b & 1) for p in players}
         players = sorted(players, key=first.get, reverse=True)
         firsts = [first[p] for p in players]
         vals = [0.0] * (len(self.players) + 1)
@@ -307,7 +303,7 @@ class CoalitionGame:
             if removed not in self._values:
                 self._values[removed] = self._update(vals, dirty, removed)
                 self.computed += 1
-                dirty = len(rank)
+                dirty = len(nodes)
 
     def dual(self, x: str) -> float:
         """d(topic strength) / d(tau(x)), one forward-mode pass over the cone
@@ -343,55 +339,44 @@ class CoalitionGame:
         """The values of the set function `fn` (see `set_value`) by member
         mask: a dict that computes and keeps a value when first read."""
         table = self._tables.get(fn)
-        if type(table) is not _Table:
-            # set_value keeps a plain dict until a table is asked for, so a
-            # game read only through it makes no reference cycle and is freed
-            # as soon as it is dropped
-            table = self._tables[fn] = _Table(table or ())
+        if table is None:
+            table = self._tables[fn] = _Table()
             table.game, table.fn = self, fn
         return table
 
     def set_value(self, fn, m: int) -> float:
         """S(X)(topic) for the contributor set X with member mask `m`,
-        computed once per game and kept with the values `table(fn)` returns.
-        `fn` is an id from FUNCTION_IDS, or a callable (g, sem, members,
-        topic) -> float for negative-control experiments, given X as a
-        frozenset of names. `m` is not validated: the methods that take names
-        do that."""
-        table = self._tables.get(fn)
-        if table is None:
-            table = self._tables[fn] = {}
-        hit = table.get(m)
-        if hit is None:
-            if callable(fn):
-                hit = fn(self.graph, self.semantics, frozenset(self.names(m)), self.topic)
-            elif fn in _GRADIENT_PSI:
-                if not m:
-                    raise ContributorError(
-                        "gradient-based contribution of the empty set is undefined "
-                        "(nothing to aggregate)"
-                    )
-                # the member duals folded by bit as max/min fold them: a tie keeps the first
-                psi, rest = _GRADIENT_PSI[fn], m
-                while rest:
-                    low = rest & -rest
-                    d = self.dual(self.players[low.bit_length() - 1])
-                    if psi is Psi.MAXABS:
-                        d = abs(d)
-                    if rest == m or (d < hit if psi is Psi.MIN else d > hit):
-                        hit = d
-                    rest ^= low
-            elif fn == "removal":
-                hit = self.value() - self.value(m & self._cone[0])
-            elif fn == "intrinsic":
-                cone = m & self._cone[0]
-                hit = self.value(detached=cone) - self.value(cone)
-            elif fn == "shapley":
-                hit = self._exact_shapley(m & self._cone[0], self._others(m))
-            else:
-                raise _unknown_function(fn)
-            table[m] = hit
-        return hit
+        computed, not kept (`table(fn)` keeps values). `fn` is an id from
+        FUNCTION_IDS, or a callable (g, sem, members, topic) -> float for
+        negative-control experiments, given X as a frozenset of names. `m`
+        is not validated: the methods that take names do that."""
+        if callable(fn):
+            return fn(self.graph, self.semantics, frozenset(self.names(m)), self.topic)
+        if fn in _GRADIENT_PSI:
+            if not m:
+                raise ContributorError(
+                    "gradient-based contribution of the empty set is undefined "
+                    "(nothing to aggregate)"
+                )
+            # the member duals folded by bit as max/min fold them: a tie keeps the first
+            psi, rest = _GRADIENT_PSI[fn], m
+            while rest:
+                low = rest & -rest
+                d = self.dual(self.players[low.bit_length() - 1])
+                if psi is Psi.MAXABS:
+                    d = abs(d)
+                if rest == m or (d < best if psi is Psi.MIN else d > best):
+                    best = d
+                rest ^= low
+            return best
+        if fn == "removal":
+            return self.value() - self.value(m & self._cone[0])
+        if fn == "intrinsic":
+            cone = m & self._cone[0]
+            return self.value(detached=cone) - self.value(cone)
+        if fn == "shapley":
+            return self._exact_shapley(m & self._cone[0], self._others(m))
+        raise _unknown_function(fn)
 
     def _result(self, value, function, m, start, std_error=None):
         return _result(value, function, self.semantics, self.names(m), self.topic,
@@ -481,12 +466,13 @@ class CoalitionGame:
 
 class _Table(dict):
     """One function's values in one game, by member mask; a miss computes
-    the value through `CoalitionGame.set_value`, which keeps it here."""
+    the value through `CoalitionGame.set_value` and keeps it."""
 
     __slots__ = ("game", "fn")
 
     def __missing__(self, m: int) -> float:
-        return self.game.set_value(self.fn, m)
+        hit = self[m] = self.game.set_value(self.fn, m)
+        return hit
 
 
 def _unknown_function(fn_id) -> ContributorError:
@@ -590,8 +576,7 @@ def single_contribution(
     budget: int = DEFAULT_BUDGET,
 ) -> ContributionResult:
     sem = semantics_from_spec(sem)
-    if x not in g.arguments or topic not in g.arguments:
-        raise UnknownArgumentError({y for y in (x, topic) if y not in g.arguments})
+    _require_known(g, (x, topic))
     if x == topic:
         raise ContributorError("contributor and topic must differ")
     kind = SingleKind(kind)
@@ -620,20 +605,14 @@ def single_contribution(
     needed = 2 ** (len(others) + 1)
     if needed > budget:
         raise BudgetError(needed, budget)
-    memo: dict[frozenset, float] = {}
-
-    def sig(removed: frozenset) -> float:
-        if removed not in memo:
-            memo[removed] = evaluate(restrict(g, g.arguments - removed), sem)[topic]
-        return memo[removed]
-
-    value = 0.0
+    value = 0.0  # no memo: each of the `needed` coalitions comes up once
     for r in range(len(others) + 1):
         weight = math.factorial(r) * math.factorial(n - r - 1) / math.factorial(n)
         for combo in itertools.combinations(others, r):
-            coalition = frozenset(combo)
-            value += weight * (sig(coalition) - sig(coalition | {x}))
-    return _result(value, "single-shapley", sem, {x}, topic, len(memo))
+            kept = g.arguments.difference(combo)
+            value += weight * (evaluate(restrict(g, kept), sem)[topic]
+                               - evaluate(restrict(g, kept - {x}), sem)[topic])
+    return _result(value, "single-shapley", sem, {x}, topic, needed)
 
 
 # --- sign maps -----------------------------------------------------------------
@@ -673,9 +652,7 @@ def sign_map(
         raise ContributorError("sweep arguments must be distinct")
     if topic in (x1, x2):
         raise ContributorError("sweep arguments must differ from the topic")
-    unknown = {x for x in (x1, x2, topic) if x not in g.arguments}
-    if unknown:
-        raise UnknownArgumentError(unknown)
+    _require_known(g, (x1, x2, topic))
     if not (0.0 < step <= 0.5):
         raise ContributorError(f"grid step must be in (0, 0.5], got {step}")
     # every grid point has the same edges: one compiled game serves all, and

@@ -14,8 +14,8 @@ per edge structure. The evaluators and the coalition game walk a graph's
 `plan`: its arguments in a topological order and, per position, the
 parents as (position, polarity) pairs in parent-id order. A graph built
 from edges compiles it on first use from `parents` (sorted (id, polarity)
-pairs per argument) and `order` (its `topological_order`), and then drops
-`parents` until it is read again. A strength-only copy shares its source's
+pairs per argument) and `order` (its `topological_order`), and keeps both,
+so each is derived once per graph. A strength-only copy shares its source's
 plan, `parents` and `order`; a `restrict` or `detach_incoming` child filters
 its parent's plan, with no `parents` and no Kahn (it derives its own
 `parents` or `order` only if read), unless the parent's plan cannot compile
@@ -124,10 +124,7 @@ class Qbag:
     @cached_property
     def plan(self) -> Plan:
         """The evaluation plan (see the module docstring)."""
-        kept = "parents" in self.__dict__
         order, parents = self.order, self.parents
-        if not kept:  # many graphs are compiled only for their plan: keep it lean
-            del self.__dict__["parents"]
         pos = {a: i for i, a in enumerate(order)}
         return Plan(order, tuple([tuple([(pos[src], pol) for src, pol in parents[a]])
                                   for a in order]))
@@ -274,9 +271,9 @@ def _find_cycle(g: Qbag) -> list[ArgumentId] | None:
 
 
 def _require_known(g: Qbag, ids: Iterable[ArgumentId]) -> None:
-    unknown = {x for x in ids if x not in g.arguments}
-    if unknown:
-        raise UnknownArgumentError(unknown)
+    ids = frozenset(ids)
+    if not ids <= g.arguments:
+        raise UnknownArgumentError(ids - g.arguments)
 
 
 def _inherit(h: Qbag, g: Qbag, derive) -> Qbag:

@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .contributions import (
-    CoalitionGame,
-    Psi,
-    gradient,
-    shapley,
-)
+from .contributions import CoalitionGame, Psi
 from .fixtures import FIG8_MANIFEST, SEMANTICS_SLUGS, fixture
 from .principles import (
     MatrixReport,
@@ -397,10 +392,12 @@ def _claims_fig8() -> list[ClaimResult]:
 
 def _cf_claims(fid: str, sem_name: str, fn_id: str, members: tuple[str, ...],
                topic: str, value: float, value_tol: float, delta: float,
-               delta_tol: float, note: str) -> list[ClaimResult]:
+               delta_tol: float, note: str,
+               regression: float | None = None) -> list[ClaimResult]:
     """Shared shape of the counterfactuality case studies: the function
     reports `value` on the designated set while actually removing it moves
-    the topic by `delta`, and the checker flags the disagreement."""
+    the topic by `delta`, and the checker flags the disagreement. A
+    `regression` pins the function's exact value as well."""
     g = fixture(fid)
     sem = PRESETS[sem_name]
     game = CoalitionGame(g, sem, topic)
@@ -414,11 +411,15 @@ def _cf_claims(fid: str, sem_name: str, fn_id: str, members: tuple[str, ...],
         _violated(fid, f"{sem_name}: counterfactuality check flags {fn_id}",
                   check_counterfactuality(fn_id, g, sem, topic)),
     ]
+    if regression is not None:
+        out.append(_near(fid, f"{sem_name}: {fn_id} of {label} regression",
+                         obs, regression, TIGHT))
     return out
 
 
 #: the case studies that are nothing but `_cf_claims`: fixture -> rows of
-#: (semantics, function, members, topic, value, value_tol, delta, delta_tol, note)
+#: (semantics, function, members, topic, value, value_tol, delta, delta_tol,
+#: note[, regression])
 _CF_ROWS = {
     "figA1": [
         ("QE", "intrinsic", ("b",), "a", 0.0, EXACT, -0.19999999999999996, TIGHT,
@@ -433,6 +434,10 @@ _CF_ROWS = {
                "is tiny but positive")],
     "figA5": [("DFQuAD", "shapley", ("e",), "a", 0.0027, DISPLAY_4DP, -0.0049, DISPLAY_4DP,
                "is small but positive")],
+    # figA6's 0.0022 display is looser than half an ulp of the last printed
+    # digit; the regression pins the exact value
+    "figA6": [("SD-DFQuAD", "shapley", ("e",), "a", 0.0022, 1.5e-4, -0.0109, DISPLAY_4DP,
+               "is small but positive", 0.0021298615641224135)],
     "figA7": [("EB", "shapley", ("f",), "a", 3.4380e-06, 1e-9, -7.8369e-05, 1e-9,
                "is tiny but positive")],
     "figA8": [("EBT", "shapley", ("f",), "a", -2.7043e-05, 1e-9, 7.3331e-05, 1e-9,
@@ -440,6 +445,8 @@ _CF_ROWS = {
     "figA10": [("DFQuAD", "gradient-max", ("c",), "a", 0.0, TIGHT, -0.125, TIGHT, "is zero")],
     "figA11": [("SD-DFQuAD", "gradient-max", ("b",), "a", -0.25, TIGHT, 0.0, EXACT,
                 "is negative")],
+    "figA12": [(name, "gradient-max", ("d",), "b", -0.4530, DISPLAY_3DP, 0.0, EXACT,
+                "is negative", -0.45304697140984085) for name in ("EB", "EBT")],
 }
 
 
@@ -451,20 +458,6 @@ def _claims_figA2() -> list[ClaimResult]:
                       value=3.5431e-06, value_tol=1e-9,
                       delta=-2.5002969854526214e-06, delta_tol=TIGHT,
                       note="is tiny but positive")
-    return out
-
-
-def _claims_figA6() -> list[ClaimResult]:
-    # the 0.0022 display is looser than half an ulp of the last printed
-    # digit; the exact value 0.00212986... is pinned by the regression claim
-    out = _cf_claims("figA6", "SD-DFQuAD", "shapley", ("e",), "a",
-                     value=0.0022, value_tol=1.5e-4,
-                     delta=-0.0109, delta_tol=DISPLAY_4DP,
-                     note="is small but positive")
-    g = fixture("figA6")
-    out.append(_near("figA6", "SD-DFQuAD: shapley of {e} regression",
-                     shapley(g, PRESETS["SD-DFQuAD"], ("e",), "a").value,
-                     0.0021298615641224135, TIGHT))
     return out
 
 
@@ -489,20 +482,6 @@ def _claims_figA9() -> list[ClaimResult]:
     return out
 
 
-def _claims_figA12() -> list[ClaimResult]:
-    out = []
-    for name in ("EB", "EBT"):
-        out += _cf_claims("figA12", name, "gradient-max", ("d",), "b",
-                          value=-0.4530, value_tol=DISPLAY_3DP,
-                          delta=0.0, delta_tol=EXACT,
-                          note="is negative")
-        out.append(_near("figA12", f"{name}: gradient-max of {{d}} regression",
-                         gradient(fixture("figA12"), PRESETS[name], ("d",), "b",
-                                  psi=Psi.MAX).value,
-                         -0.45304697140984085, TIGHT))
-    return out
-
-
 def _builders():
     builders = {
         "fig1a": _claims_fig1a,
@@ -513,9 +492,7 @@ def _builders():
         "table4": _claims_table4,
         "fig8": _claims_fig8,
         "figA2": _claims_figA2,
-        "figA6": _claims_figA6,
         "figA9": _claims_figA9,
-        "figA12": _claims_figA12,
     }
     for fid, rows in _CF_ROWS.items():
         builders[fid] = lambda fid=fid, rows=rows: [

@@ -14,7 +14,8 @@ and the coalition game all run them, over a graph's compiled `plan` or the
 game's cone, and `evaluate_dual` and the game's `dual` share one forward
 loop, `dual_pass`. They keep the formulas' float
 operations in order: Sum adds and Product multiplies 1 - s in parent order,
-Top keeps the first maximum. A Euler aggregate past e^709 gives the limit.
+Top keeps the first maximum. A Euler aggregate past e^709, or a p-Max
+x^p past the floats, gives the formula's limit and derivative 0.
 
 Derivatives: the composition is piecewise differentiable. At hinge points
 (max{0, x} at x = 0) and inside Top when several entries tie for the max,
@@ -276,19 +277,29 @@ def _influence(inf: Influence):
             return 1.0 - (1.0 - w * w) / den, dw * d_dw + ds * d_ds
 
     elif inf.kind == "pmax":
-        def value(w, s):
+        inf_ = math.inf
+
+        def value(w, s):  # h(x) = x^p / (1 + x^p) takes its limit 1 past the floats
             x = s / k
-            if x > 0.0:
-                hx = x ** p
-                return w + (1.0 - w) * (hx / (1.0 + hx))
-            if x < 0.0:
-                hx = (-x) ** p
-                return w - w * (hx / (1.0 + hx))
+            try:
+                if x > 0.0:
+                    hx = x ** p
+                    return w + (1.0 - w) * (hx / (1.0 + hx) if hx < inf_ else 1.0)
+                if x < 0.0:
+                    hx = (-x) ** p
+                    return w - w * (hx / (1.0 + hx) if hx < inf_ else 1.0)
+            except OverflowError:
+                return w + (1.0 - w) if x > 0.0 else w - w
             return w + 0.0  # w, but 0.0 for w = -0.0, as the full formula gives
 
         def h_dual(x, dx):  # max{0, x}^p / (1 + max{0, x}^p); p * 0^(p-1) is 1 at p = 1
             mv, md = _dual_max(((x, dx),))
-            num, dnum = mv ** p, p * mv ** (p - 1) * md if mv > 0.0 or p == 1 else 0.0
+            try:
+                num, dnum = mv ** p, p * mv ** (p - 1) * md if mv > 0.0 or p == 1 else 0.0
+            except OverflowError:
+                num = inf_
+            if num == inf_:  # past the floats: the limits h = 1, h' = 0
+                return 1.0, 0.0
             den = 1.0 + num
             return num / den, dnum / (den * den)
 

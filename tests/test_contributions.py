@@ -385,6 +385,13 @@ def test_singles_agree_with_singleton_sets_spot():
             )
 
 
+def test_single_shapley_counts_each_coalition_it_evaluates():
+    # fig1a has 4 non-topic arguments besides d: 2^4 coalitions, each with and
+    # without d, and no coalition comes up twice
+    r = single_contribution(SingleKind.SHAPLEY, fixture("fig1a"), QE, "d", "a")
+    assert r.evaluations == 32
+
+
 def test_apply_set_function_covers_all_ids():
     g = fixture("fig1a")
     for fid in FUNCTION_IDS:
@@ -404,6 +411,14 @@ def test_table_keeps_the_values_set_value_read_and_fills_itself():
     assert game.computed == before
     assert table[0b1] == game.set_value("removal", 0b1) == removal(
         fixture("fig1a"), QE, game.names(0b1), "a").value
+
+
+def test_set_value_stores_nothing_and_a_table_keeps_what_it_computed():
+    game = CoalitionGame(fixture("fig1a"), QE, "a")
+    value = game.set_value("shapley", 0b11)
+    assert game._tables == {}
+    table = game.table("shapley")
+    assert table == {} and table[0b11] == value and table == {0b11: value}
 
 
 def test_a_game_read_only_through_set_value_is_freed_when_dropped():

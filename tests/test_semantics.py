@@ -140,6 +140,30 @@ def test_euler_influence_past_the_float_range_gives_its_limit():
     assert evaluate(g, "EB")["a"] == 1.0 - (1.0 - 0.25) / (1.0 + 0.5 * math.exp(700.0))
 
 
+@pytest.mark.parametrize("aggregation, p, k, n, polarity", [
+    (Aggregation.SUM, 200, 1.0, 40, +1),  # 40^200 exceeds the floats
+    (Aggregation.SUM, 200, 1.0, 40, -1),
+    (Aggregation.SUM, 2, 1e-300, 1, +1),  # (1/k)^p exceeds the floats
+    (Aggregation.SUM, 3, 1e-120, 1, +1),
+    (Aggregation.TOP, 2, 1e-200, 1, +1),
+    (Aggregation.SUM, 1, 1e-310, 1, +1),  # 1/k itself is infinite
+])
+def test_pmax_influence_past_the_float_range_gives_its_limit(aggregation, p, k, n, polarity):
+    sem = Semantics(aggregation, pmax(p, k))
+    tau = {f"x{i}": 1.0 for i in range(n)}
+    edges = [(x, "a") for x in tau]
+    g = qbag({**tau, "a": 0.5}, **{"supports" if polarity > 0 else "attacks": edges})
+    limit = 1.0 if polarity > 0 else 0.0  # h -> 1 on the side that wins
+    assert evaluate(g, sem)["a"] == limit
+    assert evaluate_dual(g, sem, "x0")["a"] == Dual(limit, 0.0)
+    assert evaluate_dual(g, sem, "a")["a"] == Dual(limit, 0.0)
+    game = CoalitionGame(g, sem, "a")
+    assert game.value() == limit
+    # without x0, 39 full-strength parents still overflow, and a lone parent leaves a at 0.5
+    assert game.removal(["x0"]).value == limit - (limit if n > 1 else 0.5)
+    assert game.gradient(["x0"]).value == 0.0
+
+
 def test_empty_products_make_isolated_aggregate_zero():
     g = qbag({"a": 0.37})
     for name in PRESET_NAMES:
