@@ -37,8 +37,8 @@ from .fixtures import FIG8_MANIFEST, FIXTURE_IDS, fixture
 from .graph import Qbag, load_graph, validate
 from .principles import (
     TABLE_PRINCIPLES,
+    _CHECKERS,
     SearchConfig,
-    _check_game,
     principle_from_name,
     random_corpus,
     run_check,
@@ -239,7 +239,8 @@ def cmd_principles(args) -> int:
         for topic in topic_list:
             game = CoalitionGame(g, sem, topic, cfg.budget)  # shared by the table principles
             for principle in table:
-                results.append((gname, topic, _check_game(principle, args.function, game, cfg)))
+                verdict = _CHECKERS[principle](principle, args.function, game, cfg)
+                results.append((gname, topic, verdict))
     any_violation = any(v.violated for _, _, v in results)
 
     if args.json:

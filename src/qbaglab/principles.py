@@ -7,25 +7,35 @@ no finite tool can prove a universally quantified principle, it can only fail
 to refute it. Violations, on the other hand, are hard facts and ship with a
 replayable witness.
 
-Each topic-level checker reads its values from one `CoalitionGame` for
-(graph, semantics, topic); the public `check_*` functions and `run_check`
-build that game, `run_matrix` shares one per (graph, semantics, topic)
-across all cells, and `qbaglab principles` one per (graph, topic) across
-the table principles. A checked set X is the game's member mask, an int
-(bit i is `game.players[i]`): unions are `x | y`, the subsets of y are
-walked with `(x - 1) & y`, partitions come from `partition_masks` as tuples
-of block masks, values are read as `table[x]` from the function's
-`game.table(fn)`, and names are built only for a witness, by `game.names`.
-Exhaustive consistency reads each subset's value once and pairs a set only
-with the later sets of its sign class, the only pairs that can violate.
+Every table checker has one shape, checker(principle, fn, game, cfg), and
+`_CHECKERS` maps each of `TABLE_PRINCIPLES` to its checker; a principle and
+its variant share one, told apart by `principle` (All or Exists for
+quantitative existence, the sign or the value test for counterfactuality).
+A checker reads its values from one `CoalitionGame` for (graph, semantics,
+topic): `run_check` builds that game, and each public `check_*` function is
+`run_check` with its principle; `run_matrix` shares one game per (graph,
+semantics, topic) across all cells, and `qbaglab principles` one per
+(graph, topic) across the table principles. Every violation is built by
+`_violated`, which names its witness sets by `game.names` and attaches the
+topic and the graph to replay it on.
 
-The checked sets come from one place, `_pool`: every non-empty subset of the
-candidate arguments while there are at most `MAX_SUBSET_ARGS` of them
-(`MAX_PAIR_ARGS` for consistency's pairs), otherwise `SAMPLE_SIZE` seeded
-random subsets (`2 * SAMPLE_SIZE` for the pairs), in which case a checker
-that finds nothing reports Inconclusive instead of Satisfied where the
-principle asks for a set to exist. Values are compared with the one
-tolerance `TOL`.
+A checked set X is the game's member mask, an int (bit i is
+`game.players[i]`): unions are `x | y`, values are read as `table[x]` from
+the function's `game.table(fn)`, and names are built only for a witness.
+Existence, directionality and counterfactuality check the sets of `_pool`:
+every non-empty subset of the candidate arguments while there are at most
+`MAX_SUBSET_ARGS` of them, otherwise `SAMPLE_SIZE` seeded random subsets, in
+which case a checker that finds nothing reports Inconclusive instead of
+Satisfied where the principle asks for a set to exist. Consistency pairs
+the sets of `_pool` with `MAX_PAIR_ARGS` and `2 * SAMPLE_SIZE`; exhaustive,
+it reads each subset's value once and pairs a set only with the later sets
+of its sign class, the only pairs that can violate. Monotonicity walks
+every pair X ⊂ Y itself, the subsets of y by `(x - 1) & y`, up to
+`MAX_SUBSET_ARGS` players, and otherwise draws `SAMPLE_SIZE` seeded pairs.
+The partition checks enumerate `partition_masks`, tuples of block masks,
+up to `MAX_PARTITION_ARGS` players; past that, All-mode raises
+`PartitionSpaceError` and Exists-mode tries only the reachability split.
+Values are compared with the one tolerance `TOL`.
 
 The matrix runner crosses the four set functions with the five semantics
 presets over the bundled fixture corpus plus a seeded random corpus and
@@ -152,10 +162,15 @@ def enumerate_partitions(base: Iterable[str]):
 # --- checkers -------------------------------------------------------------------
 
 
-def _on_game(checker, fn, g: Qbag, sem, a: str, cfg, **kwargs) -> PrincipleVerdict:
-    """Run a game-level checker on a fresh game for (g, sem, a)."""
-    cfg = cfg or SearchConfig()
-    return checker(fn, CoalitionGame(g, sem, a, cfg.budget), cfg, **kwargs)
+def _violated(principle: Principle, game: CoalitionGame, checked: int, masks,
+              values: dict, note: str = "") -> PrincipleVerdict:
+    """The violation of `principle` found on `game` after `checked` checks:
+    the witness names the member `masks` and carries the topic and graph."""
+    return PrincipleVerdict(
+        principle, Status.VIOLATED, checked=checked,
+        witness=Witness(topic=game.topic, sets=tuple(map(game.names, masks)),
+                        values=values, graph=game.graph, note=note),
+    )
 
 
 def check_generalization(
@@ -174,19 +189,10 @@ def check_generalization(
             joint = game.set_value(set_fn, 1 << i)
             checked += 1
             if abs(single - joint) > TOL:
-                return PrincipleVerdict(
-                    Principle.CTRB_GENERALIZATION,
-                    Status.VIOLATED,
-                    Witness(
-                        topic=topic,
-                        sets=((x,),),
-                        values={"single": single, "set({x})": joint,
-                                "gap": abs(single - joint)},
-                        graph=g,
-                        note=f"{single_kind} vs {set_fn}",
-                    ),
-                    checked=checked,
-                )
+                return _violated(
+                    Principle.CTRB_GENERALIZATION, game, checked, (1 << i,),
+                    {"single": single, "set({x})": joint, "gap": abs(single - joint)},
+                    f"{single_kind} vs {set_fn}")
     return PrincipleVerdict(Principle.CTRB_GENERALIZATION, Status.SATISFIED, checked=checked)
 
 
@@ -195,12 +201,11 @@ def check_contribution_existence(
 ) -> PrincipleVerdict:
     """If the topic moved away from its initial strength, some contributor set
     must get a nonzero value."""
-    return _on_game(_contribution_existence, fn, g, sem, a, cfg)
+    return run_check(Principle.CONTRIBUTION_EXISTENCE, fn, g, sem, a, cfg=cfg)
 
 
-def _contribution_existence(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdict:
+def _contribution_existence(principle, fn, game: CoalitionGame, cfg) -> PrincipleVerdict:
     g, a = game.graph, game.topic
-    principle = Principle.CONTRIBUTION_EXISTENCE
     sigma_a = game.value()
     delta = sigma_a - g.initial_strength[a]
     if abs(delta) <= TOL:
@@ -211,11 +216,9 @@ def _contribution_existence(fn, game: CoalitionGame, cfg: SearchConfig) -> Princ
         )
     pool, exhaustive = _pool(_player_bits(game), cfg)
     table = game.table(fn)
-    checked = 0
-    largest = 0.0
-    for m in pool:
+    checked, largest = 0, 0.0
+    for checked, m in enumerate(pool, 1):
         value = table[m]
-        checked += 1
         largest = max(largest, abs(value))
         if abs(value) > TOL:
             return PrincipleVerdict(
@@ -224,16 +227,11 @@ def _contribution_existence(fn, game: CoalitionGame, cfg: SearchConfig) -> Princ
                                 values={"S(X)(a)": value, "sigma(a)-tau(a)": delta}),
             )
     if exhaustive:
-        return PrincipleVerdict(
-            principle, Status.VIOLATED, checked=checked,
-            witness=Witness(
-                topic=a, sets=(),
-                values={"sigma(a)": sigma_a, "tau(a)": g.initial_strength[a],
-                        "max |S(X)(a)|": largest, "margin": abs(delta)},
-                graph=g,
-                note="final strength moved but every contributor set gets 0",
-            ),
-        )
+        return _violated(
+            principle, game, checked, (),
+            {"sigma(a)": sigma_a, "tau(a)": g.initial_strength[a],
+             "max |S(X)(a)|": largest, "margin": abs(delta)},
+            "final strength moved but every contributor set gets 0")
     return PrincipleVerdict(principle, Status.INCONCLUSIVE, checked=checked)
 
 
@@ -243,41 +241,37 @@ def check_quantitative_contribution_existence(
     """All-mode: every partition of the non-topic arguments must sum to
     sigma(a) - tau(a). Exists-mode: some partition must, with the
     reachability split tried first."""
-    return _on_game(_quantitative_contribution_existence, fn, g, sem, a, cfg, mode=mode)
-
-
-def _quantitative_contribution_existence(
-    fn, game: CoalitionGame, cfg: SearchConfig, mode: str = "All",
-) -> PrincipleVerdict:
-    g, a = game.graph, game.topic
     mode = str(mode).lower()
     if mode not in ("all", "exists"):
         raise ValueError(f"mode must be 'All' or 'Exists', got {mode!r}")
-    delta = game.value() - g.initial_strength[a]
+    principle = (Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE if mode == "all"
+                 else Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE)
+    return run_check(principle, fn, g, sem, a, cfg=cfg)
+
+
+def _quantitative_contribution_existence(
+    principle, fn, game: CoalitionGame, cfg,
+) -> PrincipleVerdict:
+    """All-mode for QuantitativeContributionExistence, Exists-mode for its
+    weak variant."""
+    a = game.topic
+    delta = game.value() - game.graph.initial_strength[a]
     bits = _player_bits(game)
     partitions = partition_masks(len(bits))  # each block a member mask
     table = game.table(fn)
 
-    if mode == "all":
-        principle = Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE
+    if principle is Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE:
         checked = 0
-        for blocks in partitions:
+        for checked, blocks in enumerate(partitions, 1):
             total = sum([table[b] for b in blocks])
-            checked += 1
             if abs(total - delta) > TOL:
-                return PrincipleVerdict(
-                    principle, Status.VIOLATED, checked=checked,
-                    witness=Witness(
-                        topic=a, sets=tuple(map(game.names, blocks)),
-                        values={"sum over blocks": total, "sigma(a)-tau(a)": delta,
-                                "margin": abs(total - delta)},
-                        graph=g,
-                    ),
-                )
+                return _violated(
+                    principle, game, checked, blocks,
+                    {"sum over blocks": total, "sigma(a)-tau(a)": delta,
+                     "margin": abs(total - delta)})
         return PrincipleVerdict(principle, Status.SATISFIED, checked=checked)
 
     # Exists-mode: the reachability split, then (if affordable) every partition.
-    principle = Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE
     reach = game.mask(game.players)  # the players that reach the topic
     split = tuple(b for b in (reach, sum(bits) - reach) if b)
     exhaustive = len(bits) <= MAX_PARTITION_ARGS
@@ -299,53 +293,39 @@ def _quantitative_contribution_existence(
             )
     if not exhaustive:
         return PrincipleVerdict(principle, Status.INCONCLUSIVE, checked=checked)
-    return PrincipleVerdict(
-        principle, Status.VIOLATED, checked=checked,
-        witness=Witness(
-            topic=a, sets=tuple(map(game.names, best_blocks)),
-            values={"sigma(a)-tau(a)": delta, "closest partition gap": best_gap,
-                    "margin": best_gap},
-            graph=g,
-            note="no partition of the non-topic arguments sums to sigma-tau; "
-                 "witness sets show the closest one",
-        ),
-    )
+    return _violated(
+        principle, game, checked, best_blocks,
+        {"sigma(a)-tau(a)": delta, "closest partition gap": best_gap, "margin": best_gap},
+        "no partition of the non-topic arguments sums to sigma-tau; "
+        "witness sets show the closest one")
 
 
 def check_directionality(
     fn, g: Qbag, sem, a: str, *, cfg: SearchConfig | None = None,
 ) -> PrincipleVerdict:
     """Sets whose members cannot reach the topic must contribute exactly zero."""
-    return _on_game(_directionality, fn, g, sem, a, cfg)
+    return run_check(Principle.DIRECTIONALITY, fn, g, sem, a, cfg=cfg)
 
 
-def _directionality(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdict:
-    g, a = game.graph, game.topic
-    principle = Principle.DIRECTIONALITY
+def _directionality(principle, fn, game: CoalitionGame, cfg) -> PrincipleVerdict:
     cone = game.mask(game.players)  # the players that reach the topic
     unreachable = [b for b in _player_bits(game) if not b & cone]
     if not unreachable:
         return PrincipleVerdict(
             principle, Status.SATISFIED, checked=0,
-            witness=Witness(topic=a, sets=(), values={},
+            witness=Witness(topic=game.topic, sets=(), values={},
                             note="vacuous: every other argument reaches the topic"),
         )
     pool, _ = _pool(unreachable, cfg)
     table = game.table(fn)
     checked = 0
-    for m in pool:
+    for checked, m in enumerate(pool, 1):
         value = table[m]
-        checked += 1
         if abs(value) > TOL:
-            return PrincipleVerdict(
-                principle, Status.VIOLATED, checked=checked,
-                witness=Witness(
-                    topic=a, sets=(game.names(m),),
-                    values={"S(X)(a)": value, "margin": abs(value)},
-                    graph=g,
-                    note="no member of X reaches the topic, yet the value is nonzero",
-                ),
-            )
+            return _violated(
+                principle, game, checked, (m,),
+                {"S(X)(a)": value, "margin": abs(value)},
+                "no member of X reaches the topic, yet the value is nonzero")
     return PrincipleVerdict(principle, Status.SATISFIED, checked=checked)
 
 
@@ -355,36 +335,25 @@ def check_counterfactuality(
 ) -> PrincipleVerdict:
     """Sign (or value, in the quantitative variant) of S(X)(a) must match the
     change in the topic's strength caused by actually removing X."""
-    return _on_game(_counterfactuality, fn, g, sem, a, cfg, quantitative=quantitative)
+    principle = (Principle.QUANTITATIVE_COUNTERFACTUALITY if quantitative
+                 else Principle.COUNTERFACTUALITY)
+    return run_check(principle, fn, g, sem, a, cfg=cfg)
 
 
-def _counterfactuality(
-    fn, game: CoalitionGame, cfg: SearchConfig, quantitative: bool = False,
-) -> PrincipleVerdict:
-    g, a = game.graph, game.topic
-    principle = (
-        Principle.QUANTITATIVE_COUNTERFACTUALITY if quantitative
-        else Principle.COUNTERFACTUALITY
-    )
+def _counterfactuality(principle, fn, game: CoalitionGame, cfg) -> PrincipleVerdict:
+    """The sign test for Counterfactuality, the value test for its
+    quantitative variant."""
+    quantitative = principle is Principle.QUANTITATIVE_COUNTERFACTUALITY
     pool, _ = _pool(_player_bits(game), cfg)
     table, removal = game.table(fn), game.table("removal")
     checked = 0
-    for m in pool:
-        value = table[m]
-        removal_delta = removal[m]
-        checked += 1
+    for checked, m in enumerate(pool, 1):
+        value, removal_delta = table[m], removal[m]
         margin = abs(value - removal_delta)
-        bad = margin > TOL if quantitative else sign(value) != sign(removal_delta)
-        if bad:
-            return PrincipleVerdict(
-                principle, Status.VIOLATED, checked=checked,
-                witness=Witness(
-                    topic=a, sets=(game.names(m),),
-                    values={"S(X)(a)": value, "removal delta": removal_delta,
-                            "margin": margin},
-                    graph=g,
-                ),
-            )
+        if (margin > TOL if quantitative else sign(value) != sign(removal_delta)):
+            return _violated(
+                principle, game, checked, (m,),
+                {"S(X)(a)": value, "removal delta": removal_delta, "margin": margin})
     return PrincipleVerdict(principle, Status.SATISFIED, checked=checked)
 
 
@@ -393,20 +362,17 @@ def check_consistency(
 ) -> PrincipleVerdict:
     """Two sets agreeing in contribution sign must not flip the sign of their
     union."""
-    return _on_game(_consistency, fn, g, sem, a, cfg)
+    return run_check(Principle.CONSISTENCY, fn, g, sem, a, cfg=cfg)
 
 
-def _consistency(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdict:
-    g, a = game.graph, game.topic
-    principle = Principle.CONSISTENCY
+def _consistency(principle, fn, game: CoalitionGame, cfg) -> PrincipleVerdict:
     table = game.table(fn)
     pool, exhaustive = _pool(_player_bits(game), cfg, MAX_PAIR_ARGS, 2 * SAMPLE_SIZE)
     if exhaustive:  # every unordered pair (with repeats) of the subsets
         checked, pair = _first_clash(list(pool), table)
     else:  # consecutive samples
         checked, pair = 0, None
-        for x, y in zip(pool, pool):
-            checked += 1
+        for checked, (x, y) in enumerate(zip(pool, pool), 1):
             if _clash(table[x], table[y], table[x | y]) is not None:
                 pair = x, y
                 break
@@ -414,16 +380,9 @@ def _consistency(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdict
         return PrincipleVerdict(principle, Status.SATISFIED, checked=checked)
     x, y = pair
     vx, vy, vu = table[x], table[y], table[x | y]
-    return PrincipleVerdict(
-        principle, Status.VIOLATED, checked=checked,
-        witness=Witness(
-            topic=a,
-            sets=(game.names(x), game.names(y), game.names(x | y)),
-            values={"S(X)(a)": vx, "S(Y)(a)": vy,
-                    "S(X∪Y)(a)": vu, "margin": _clash(vx, vy, vu)},
-            graph=g,
-        ),
-    )
+    return _violated(
+        principle, game, checked, (x, y, x | y),
+        {"S(X)(a)": vx, "S(Y)(a)": vy, "S(X∪Y)(a)": vu, "margin": _clash(vx, vy, vu)})
 
 
 def _clash(vx: float, vy: float, vu: float) -> float | None:
@@ -472,48 +431,38 @@ def check_monotonicity(
     fn, g: Qbag, sem, a: str, *, cfg: SearchConfig | None = None,
 ) -> PrincipleVerdict:
     """Growing the contributor set must not shrink its contribution."""
-    return _on_game(_monotonicity, fn, g, sem, a, cfg)
+    return run_check(Principle.MONOTONICITY, fn, g, sem, a, cfg=cfg)
 
 
-def _monotonicity(fn, game: CoalitionGame, cfg: SearchConfig) -> PrincipleVerdict:
-    g, a = game.graph, game.topic
-    principle = Principle.MONOTONICITY
-    n = len(game.players)
-
-    def violation(x, y, vx, vy, note="") -> PrincipleVerdict:
-        return PrincipleVerdict(
-            principle, Status.VIOLATED, checked=checked,
-            witness=Witness(
-                topic=a, sets=(game.names(x), game.names(y)),
-                values={"S(X)(a)": vx, "S(Y)(a)": vy, "margin": vx - vy},
-                graph=g, note=note,
-            ),
-        )
-
-    table = game.table(fn)
-    checked = 0
-    if n <= MAX_SUBSET_ARGS:
-        # every pair X ⊂ Y, reading S(Y) once per Y
+def _monotonicity(principle, fn, game: CoalitionGame, cfg) -> PrincipleVerdict:
+    n, table = len(game.players), game.table(fn)
+    checked, pair, note = 0, None, ""
+    if n <= MAX_SUBSET_ARGS:  # every pair X ⊂ Y, reading S(Y) once per Y
+        note = "X ⊆ Y but S(X) > S(Y)"
         for y in range(1, 1 << n):
             vy = table[y]
             x = (y - 1) & y
             while x:
                 checked += 1
-                vx = table[x]
-                if vx > vy + TOL:
-                    return violation(x, y, vx, vy, "X ⊆ Y but S(X) > S(Y)")
+                if table[x] > vy + TOL:
+                    break
                 x = (x - 1) & y
-    else:
-        rng = random.Random(cfg.seed)
-        bits = _player_bits(game)
-        for _ in range(SAMPLE_SIZE):
+            if x:  # the walk stopped at a violating X
+                pair = x, y
+                break
+    else:  # a random Y, then a random non-empty X ⊆ Y
+        rng, bits = random.Random(cfg.seed), _player_bits(game)
+        for checked in range(1, SAMPLE_SIZE + 1):
             y = _sample(bits, rng)
             x = _sample([b for b in bits if y & b], rng)
-            vx, vy = table[x], table[y]
-            checked += 1
-            if vx > vy + TOL:
-                return violation(x, y, vx, vy)
-    return PrincipleVerdict(principle, Status.SATISFIED, checked=checked)
+            if table[x] > table[y] + TOL:
+                pair = x, y
+                break
+    if pair is None:
+        return PrincipleVerdict(principle, Status.SATISFIED, checked=checked)
+    vx, vy = table[pair[0]], table[pair[1]]
+    return _violated(principle, game, checked, pair,
+                     {"S(X)(a)": vx, "S(Y)(a)": vy, "margin": vx - vy}, note)
 
 
 # --- random graphs and counterexample search --------------------------------------
@@ -549,24 +498,18 @@ def random_corpus(cfg: SearchConfig) -> list[Qbag]:
     return out
 
 
-#: the game-level checker of each topic-level principle, with its options
-_CHECKERS: dict[Principle, tuple] = {
-    Principle.CONTRIBUTION_EXISTENCE: (_contribution_existence, {}),
-    Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE:
-        (_quantitative_contribution_existence, {"mode": "All"}),
-    Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE:
-        (_quantitative_contribution_existence, {"mode": "Exists"}),
-    Principle.DIRECTIONALITY: (_directionality, {}),
-    Principle.COUNTERFACTUALITY: (_counterfactuality, {"quantitative": False}),
-    Principle.QUANTITATIVE_COUNTERFACTUALITY: (_counterfactuality, {"quantitative": True}),
-    Principle.CONSISTENCY: (_consistency, {}),
-    Principle.MONOTONICITY: (_monotonicity, {}),
+#: the game-level checker of each table principle, called as
+#: checker(principle, fn, game, cfg)
+_CHECKERS = {
+    Principle.CONTRIBUTION_EXISTENCE: _contribution_existence,
+    Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE: _quantitative_contribution_existence,
+    Principle.WEAK_QUANTITATIVE_CONTRIBUTION_EXISTENCE: _quantitative_contribution_existence,
+    Principle.DIRECTIONALITY: _directionality,
+    Principle.COUNTERFACTUALITY: _counterfactuality,
+    Principle.QUANTITATIVE_COUNTERFACTUALITY: _counterfactuality,
+    Principle.CONSISTENCY: _consistency,
+    Principle.MONOTONICITY: _monotonicity,
 }
-
-
-def _check_game(principle: Principle, fn, game: CoalitionGame, cfg: SearchConfig):
-    checker, kwargs = _CHECKERS[principle]
-    return checker(fn, game, cfg, **kwargs)
 
 
 def principle_from_name(name) -> Principle:
@@ -606,7 +549,7 @@ def run_check(
         return check_generalization(pair, g, sem, cfg=cfg)
     if a is None:
         raise ValueError(f"principle {principle.value} needs a topic argument")
-    return _check_game(principle, fn, CoalitionGame(g, sem, a, cfg.budget), cfg)
+    return _CHECKERS[principle](principle, fn, CoalitionGame(g, sem, a, cfg.budget), cfg)
 
 
 def search_counterexample(
@@ -788,6 +731,7 @@ def run_matrix(cfg: SearchConfig | None = None) -> MatrixReport:
     random corpus of `cfg` without a counterexample."""
     cfg = cfg or SearchConfig()
     corpus: list[Qbag] = [FIXTURES[k] for k in sorted(FIXTURES)] + random_corpus(cfg)
+    instances = [(g, topic) for g in corpus for topic in topics_of(g)]
 
     games: dict[tuple[Qbag, str, str], CoalitionGame] = {}
 
@@ -799,30 +743,24 @@ def run_matrix(cfg: SearchConfig | None = None) -> MatrixReport:
 
     cells = []
     for principle in TABLE_PRINCIPLES:
+        check = _CHECKERS[principle]
         for fn in SET_FUNCTION_IDS:
             for sem_name in PRESET_NAMES:
                 expected = EXPECTED_VERDICTS[principle][fn][sem_name]
                 if expected:
                     status, fixture_id, witness, checked = "PASS", None, None, 0
-                    for g in corpus:
-                        for topic in topics_of(g):
-                            verdict = _check_game(
-                                principle, fn, game_for(g, sem_name, topic), cfg)
-                            checked += verdict.checked
-                            if verdict.violated:
-                                status, witness = "MISMATCH", verdict.witness
-                                break
-                        if status == "MISMATCH":
+                    for g, topic in instances:
+                        verdict = check(principle, fn, game_for(g, sem_name, topic), cfg)
+                        checked += verdict.checked
+                        if verdict.violated:
+                            status, witness = "MISMATCH", verdict.witness
                             break
                 else:
                     fixture_id, topic = violation_fixture(principle, fn, sem_name)
                     g = FIXTURES[fixture_id]
-                    verdict = _check_game(principle, fn, game_for(g, sem_name, topic), cfg)
-                    checked = verdict.checked
-                    if verdict.violated:
-                        status, witness = "VIOLATION-REPRODUCED", verdict.witness
-                    else:
-                        status, witness = "MISMATCH", verdict.witness
+                    verdict = check(principle, fn, game_for(g, sem_name, topic), cfg)
+                    checked, witness = verdict.checked, verdict.witness
+                    status = "VIOLATION-REPRODUCED" if verdict.violated else "MISMATCH"
                 cells.append(MatrixCell(
                     fn=fn, semantics=sem_name, principle=principle,
                     expected_satisfied=expected, status=status,

@@ -241,15 +241,24 @@ def _influence(inf: Influence):
     term it zeroes: w - w*0 and x + 0 are w and x bit for bit."""
     k, p = inf.k, inf.p
     if inf.kind == "linear":
-        lo, hi = -k - 1e-12, k + 1e-12
+        hi = k * (1.0 + 1e-12)  # rounding slack relative to k; an aggregate in it is k
+        inf_ = math.inf
 
-        def value(w, s):
-            if s < lo or s > hi:
-                raise InfluenceDomainError(s, k)
+        def value(w, s):  # through s / k where (1 - w) / k or w / k overflows
             if s > 0.0:
-                return w + ((1.0 - w) / k) * s
+                if s > k:
+                    if s > hi:
+                        raise InfluenceDomainError(s, k)
+                    s = k
+                t = ((1.0 - w) / k) * s
+                return w + (t if t < inf_ else (1.0 - w) * (s / k))
             if s < 0.0:
-                return w - (w / k) * -s
+                if s < -k:
+                    if s < -hi:
+                        raise InfluenceDomainError(s, k)
+                    s = -k
+                t = (w / k) * -s
+                return w - (t if t < inf_ else w * (-s / k))
             return w + 0.0  # w, but 0.0 for w = -0.0, as the full formula gives
 
         def dual(w, dw, s, ds):
@@ -303,10 +312,21 @@ def _influence(inf: Influence):
             den = 1.0 + num
             return num / den, dnum / (den * den)
 
+        def h_slope(x, dx):  # h'(x) * dx, formed as h'(x) first, then dx
+            mv, md = _dual_max(((x, dx),))
+            if not (mv > 0.0 or p == 1):
+                return 0.0
+            den = 1.0 + mv ** p  # finite: h_dual gives slope 0 where it is not
+            return p * mv ** (p - 1) / den / den * md
+
         def dual(w, dw, s, ds):
             h1v, h1d = h_dual(-s / k, -ds / k)
             h2v, h2d = h_dual(s / k, ds / k)
-            return value(w, s), dw - (dw * h1v + w * h1d) + (-dw * h2v + (1.0 - w) * h2d)
+            d = dw - (dw * h1v + w * h1d) + (-dw * h2v + (1.0 - w) * h2d)
+            if d - d != 0.0:  # inf or nan, from ds / k or den * den: divide by k last
+                h1d, h2d = h_slope(-s / k, -ds), h_slope(s / k, ds)
+                d = dw - (dw * h1v + w * h1d / k) + (-dw * h2v + (1.0 - w) * h2d / k)
+            return value(w, s), d
 
     else:
         raise SemanticsError(f"unknown influence kind: {inf.kind!r}")

@@ -402,15 +402,14 @@ def test_apply_set_function_covers_all_ids():
         apply_set_function("bogus", g, QE, ("d",), "a")
 
 
-def test_table_keeps_the_values_set_value_read_and_fills_itself():
+def test_table_reads_agree_with_set_value_and_removal():
     game = CoalitionGame(fixture("fig1a"), QE, "a")
-    value = game.set_value("removal", 0b11)
-    before = game.computed
     table = game.table("removal")
-    assert table is game.table("removal") and table[0b11] == value
-    assert game.computed == before
-    assert table[0b1] == game.set_value("removal", 0b1) == removal(
-        fixture("fig1a"), QE, game.names(0b1), "a").value
+    assert table is game.table("removal")
+    for m in (0b11, 0b1, 0b10110):
+        assert table[m] == game.set_value("removal", m) == removal(
+            fixture("fig1a"), QE, game.names(m), "a").value
+    assert table == {m: game.set_value("removal", m) for m in (0b11, 0b1, 0b10110)}
 
 
 def test_set_value_stores_nothing_and_a_table_keeps_what_it_computed():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from qbaglab.principles import (
     SET_FUNCTION_IDS,
     STRENGTH_GRID,
     TABLE_PRINCIPLES,
+    _CHECKERS,
     SearchConfig,
     check_consistency,
     check_contribution_existence,
@@ -355,6 +358,29 @@ def test_sampled_branches_are_pinned(shape, fn):
         v = run_check(principle, fn, g, QE, topic)
         sets = v.witness.sets if v.witness is not None else None
         assert (v.status.name, v.checked, sets) == verdicts[fn][principle], principle
+
+
+def test_every_table_verdict_on_the_fixtures_is_pinned():
+    # Recorded before the checkers took one shape: every table principle,
+    # set function and preset on every topic of the fixtures but fig8, one
+    # game per (fixture, preset, topic) as run_matrix shares them.
+    assert set(_CHECKERS) == set(TABLE_PRINCIPLES)
+    cfg, digest, count = SearchConfig(), hashlib.sha256(), 0
+    for fid in sorted(FIXTURES):
+        if fid == "fig8":  # 10 arguments: about 5x the time of all the others together
+            continue
+        g = FIXTURES[fid]
+        for name in PRESET_NAMES:
+            for topic in topics_of(g):
+                game = CoalitionGame(g, name, topic)
+                for fn in SET_FUNCTION_IDS:
+                    for principle in TABLE_PRINCIPLES:
+                        verdict = _CHECKERS[principle](principle, fn, game, cfg)
+                        digest.update(json.dumps(verdict.to_dict(), sort_keys=True).encode())
+                        count += 1
+    assert count == 23360
+    assert digest.hexdigest() == (
+        "8ddbf200c2eb41262906c39ade2cb95f980f8c1345744aea5e51a9bae8b73cc6")
 
 
 def test_run_check_dispatch_and_stability():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbaglab.contributions import CoalitionGame
+from qbaglab.contributions import CoalitionGame, gradient, single_contribution
 from qbaglab.errors import InfluenceDomainError, SemanticsError
 from qbaglab.fixtures import fixture
 from qbaglab.graph import qbag, restrict, influencers, set_initial_strength
@@ -162,6 +162,44 @@ def test_pmax_influence_past_the_float_range_gives_its_limit(aggregation, p, k, 
     # without x0, 39 full-strength parents still overflow, and a lone parent leaves a at 0.5
     assert game.removal(["x0"]).value == limit - (limit if n > 1 else 0.5)
     assert game.gradient(["x0"]).value == 0.0
+
+
+@pytest.mark.parametrize("k, tau, polarity, want", [
+    (1e-13, {"b": 5e-13}, -1, None),  # an absolute slack of 1e-12 exceeds k
+    (1e-13, {"b": 5e-13}, +1, None),
+    (1.0, {"b": 1.0, "c": 1e-12}, +1, 1.0),  # inside the slack, past k: s counts as k
+    (1e-310, {"b": 1e-310}, +1, 1.0),  # (1 - w) / k overflows
+    (1e-310, {"b": 5e-311}, -1, 0.5 - 0.5 * (5e-311 / 1e-310)),  # w / k overflows
+])
+def test_linear_influence_stays_in_the_unit_interval(k, tau, polarity, want):
+    sem = Semantics(Aggregation.SUM, linear(k))
+    g = qbag({"a": 0.5, **tau}, **{"supports" if polarity > 0 else "attacks":
+                                   [(x, "a") for x in tau]})
+    without_b = evaluate(restrict(g, g.arguments - {"b"}), sem)["a"]
+    game = CoalitionGame(g, sem, "a")
+    if want is None:
+        for call in (lambda: evaluate(g, sem), lambda: evaluate_dual(g, sem, "b"),
+                     lambda: game.removal(["b"])):
+            with pytest.raises(InfluenceDomainError):
+                call()
+        return
+    assert evaluate(g, sem)["a"] == want
+    assert evaluate_dual(g, sem, "b")["a"].value == want
+    assert game.removal(["b"]).value == want - without_b
+
+
+@pytest.mark.parametrize("p, k, polarity, want", [
+    (1, 1e-310, +1, 0.5 / (1.0 + 1e10) ** 2 / 1e-310),  # ds / k overflows
+    (200, 1e-301, +1, 1e102),  # (1 + x^p)^2 overflows: 0.5 * 200 * 10^199 / 10^400 / k
+    (200, 1e-301, -1, -1e102),
+])
+def test_pmax_derivative_is_finite_where_its_closed_form_is(p, k, polarity, want):
+    sem = Semantics(Aggregation.SUM, pmax(p, k))
+    g = qbag({"a": 0.5, "b": 1e-300}, **{"supports" if polarity > 0 else "attacks": [("b", "a")]})
+    for got in (evaluate_dual(g, sem, "b")["a"].deriv,
+                gradient(g, sem, ["b"], "a").value,
+                single_contribution("gradient", g, sem, "b", "a").value):
+        assert math.isclose(got, want, rel_tol=1e-9)
 
 
 def test_empty_products_make_isolated_aggregate_zero():
