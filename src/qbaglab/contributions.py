@@ -358,17 +358,11 @@ class CoalitionGame:
                     "gradient-based contribution of the empty set is undefined "
                     "(nothing to aggregate)"
                 )
-            # the member duals folded by bit as max/min fold them: a tie keeps the first
-            psi, rest = _GRADIENT_PSI[fn], m
-            while rest:
-                low = rest & -rest
-                d = self.dual(self.players[low.bit_length() - 1])
-                if psi is Psi.MAXABS:
-                    d = abs(d)
-                if rest == m or (d < best if psi is Psi.MIN else d > best):
-                    best = d
-                rest ^= low
-            return best
+            # over the member duals in bit order: of tied values the first is kept
+            psi, duals = _GRADIENT_PSI[fn], map(self.dual, self.names(m))
+            if psi is Psi.MIN:
+                return min(duals)
+            return max(map(abs, duals) if psi is Psi.MAXABS else duals)
         if fn == "removal":
             return self.value() - self.value(m & self._cone[0])
         if fn == "intrinsic":

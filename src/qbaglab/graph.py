@@ -16,10 +16,12 @@ parents as (position, polarity) pairs in parent-id order. A graph built
 from edges compiles it on first use from `parents` (sorted (id, polarity)
 pairs per argument) and `order` (its `topological_order`), and keeps both,
 so each is derived once per graph. A strength-only copy shares its source's
-plan, `parents` and `order`; a `restrict` or `detach_incoming` child filters
-its parent's plan, with no `parents` and no Kahn (it derives its own
-`parents` or `order` only if read), unless the parent's plan cannot compile
-(a dangling edge, a cycle). A child's plan order is its parent's, filtered,
+plan and what it holds of `parents` and `order`; a `restrict` or
+`detach_incoming` child filters its parent's plan, with no `parents` and no
+Kahn (it derives its own `parents` or `order` only if read). Where the
+source's plan cannot compile (a dangling edge, a cycle), a copy or child
+compiles its own when read, and so raises only when it is evaluated, not
+when it is made. A child's plan order is its parent's, filtered,
 not always the child's own `order`: `evaluate`'s dict iterates in plan
 order, and every consumer reads it by key or sorts it. An edge whose
 endpoint is not an argument raises `UnknownArgumentError` when `parents` or
@@ -238,35 +240,32 @@ def validate(g: Qbag) -> ValidationReport:
 
 
 def _find_cycle(g: Qbag) -> list[ArgumentId] | None:
-    """Return one directed cycle as a node list, or None. Ignores dangling edges."""
+    """Return one directed cycle as a node list, or None. Ignores dangling
+    edges. Depth-first from each argument in id order, on an explicit stack
+    so that a long path cannot exhaust the recursion limit."""
     succ: dict[ArgumentId, list[ArgumentId]] = {a: [] for a in g.arguments}
     for x, y in sorted(g.edges()):
         if x in succ and y in g.arguments:
             succ[x].append(y)
 
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {a: WHITE for a in g.arguments}
-    stack: list[ArgumentId] = []
-
-    def visit(node: ArgumentId) -> list[ArgumentId] | None:
-        color[node] = GREY
-        stack.append(node)
-        for nxt in succ[node]:
-            if color[nxt] == GREY:
-                return stack[stack.index(nxt):]
-            if color[nxt] == WHITE:
-                cyc = visit(nxt)
-                if cyc is not None:
-                    return cyc
-        color[node] = BLACK
-        stack.pop()
-        return None
-
-    for a in sorted(g.arguments):
-        if color[a] == WHITE:
-            cyc = visit(a)
-            if cyc is not None:
-                return cyc
+    done: set[ArgumentId] = set()
+    for root in sorted(g.arguments):
+        if root in done:
+            continue
+        path, on_path, walks = [root], {root}, [iter(succ[root])]
+        while walks:
+            for nxt in walks[-1]:
+                if nxt in on_path:
+                    return path[path.index(nxt):]
+                if nxt not in done:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    walks.append(iter(succ[nxt]))
+                    break
+            else:  # every successor walked: the node is done
+                walks.pop()
+                on_path.discard(path[-1])
+                done.add(path.pop())
     return None
 
 
@@ -326,9 +325,17 @@ def set_initial_strength(g: Qbag, x: ArgumentId, eps: float) -> Qbag:
 
 def _with_tau(g: Qbag, tau: Mapping[ArgumentId, float]) -> Qbag:
     """`g` with the initial strengths `tau`, taken as given, sharing `g`'s
-    plan, `parents` and `order`."""
+    plan and whichever of `parents` and `order` `g` holds. If `g`'s plan
+    cannot compile, the copy compiles its own when read, as a `restrict`
+    child does, and so raises when it is evaluated, not here."""
     h = Qbag(g.arguments, g.attacks, g.supports, tau)
-    h.__dict__.update(plan=g.plan, parents=g.parents, order=g.order)
+    try:
+        g.plan  # compiled on `g`, once for every copy
+    except (UnknownArgumentError, CycleError):
+        return h
+    for k in ("plan", "parents", "order"):
+        if k in g.__dict__:  # where cached_property keeps it
+            h.__dict__[k] = g.__dict__[k]
     return h
 
 

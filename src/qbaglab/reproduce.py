@@ -4,11 +4,21 @@ Each claim recomputes a documented number or a documented violation on a
 bundled fixture and compares against the expected value at a stated
 tolerance. `run_all` additionally regenerates the full principle-by-
 function verdict matrix and demands zero mismatches.
+
+A case study that repeats a shape is a row, built by one helper:
+`_CF_ROWS` (counterfactuality) through `_cf_claims`, `_MARGIN_ROWS` (the
+partition principles) through `_margin_claims`, and every printed Table 4
+cell through `_table_claims`. A fixture's row claims follow its bespoke
+ones. A claim reports rather than raises: a verdict without the witness or
+margin a claim reads, or a table row that is missing, yields FAILED claims
+(the missing number reads as NaN), so a regression shows as FAILED lines
+and `ok` False, not as a traceback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import nan
 from typing import Iterable
 
 from .contributions import CoalitionGame, Psi
@@ -98,20 +108,13 @@ def _claims_fig1a() -> list[ClaimResult]:
         out.append(_near(fid, f"QE final strength of {arg} displays as {want:.2f}",
                          sigma[arg], want, DISPLAY_2DP))
     game = CoalitionGame(g, sem, "a")
-    sd = game.removal(("d",)).value
-    sf = game.removal(("f",)).value
-    sdf = game.removal(("d", "f")).value
-    out.append(_sign(fid, "removal of {d} lowers the topic", sd, positive=False))
-    out.append(_sign(fid, "removal of {f} lowers the topic", sf, positive=False))
-    out.append(_sign(fid, "removal of {d,f} raises the topic", sdf, positive=True))
-    frozen = {
-        "d": -0.012530465952907854,
-        "f": -0.011009024857438043,
-        "d,f": 0.008610357524313828,
-    }
-    for label, (obs, exp) in zip(frozen, [(sd, frozen["d"]), (sf, frozen["f"]),
-                                          (sdf, frozen["d,f"])]):
-        out.append(_near(fid, f"removal of {{{label}}} regression value", obs, exp, TIGHT))
+    triple = [game.removal(m).value for m in _DF_SETS]
+    for label, obs, up in zip(_DF_LABELS, triple, (False, False, True)):
+        out.append(_sign(fid, f"removal of {label} {'raises' if up else 'lowers'} the topic",
+                         obs, positive=up))
+    # fig1a is fig6-qe: the same graph with the same strengths
+    for label, obs, exp in zip(_DF_LABELS, triple, _FIG6_REMOVAL_TRIPLES["QE"]):
+        out.append(_near(fid, f"removal of {label} regression value", obs, exp, TIGHT))
     return out
 
 
@@ -121,13 +124,6 @@ _FIG3_SIGMA = {
     "SD-DFQuAD": 0.25,
     "EB": 0.29753420374977824,
     "EBT": 0.3665218026227227,
-}
-_FIG3_QCE_MARGIN = {
-    "QE": 0.09999999999999998,
-    "DFQuAD": 0.5,
-    "SD-DFQuAD": 0.25,
-    "EB": 0.06449059850433281,
-    "EBT": 0.13347819737727729,
 }
 
 
@@ -145,72 +141,55 @@ def _claims_fig3() -> list[ClaimResult]:
     for name in ("QE", "EB"):
         v = check_contribution_existence("gradient-max", g, PRESETS[name], "a")
         out.append(_satisfied(fid, f"{name}: some set has a nonzero gradient", v))
-    for name in PRESET_NAMES:
-        v = check_quantitative_contribution_existence(
-            "removal", g, PRESETS[name], "a")
-        out.append(_violated(fid, f"{name}: partition sums miss sigma-tau "
-                                  "for removal", v))
-        if v.witness is not None and v.witness.values.get("margin") is not None:
-            out.append(_near(fid, f"{name}: removal partition gap regression",
-                             v.witness.values["margin"],
-                             _FIG3_QCE_MARGIN[name], TIGHT))
     return out
 
 
-_FIG4_QCE_MARGIN = {
-    "QE": 0.0007985648059948003,
-    "DFQuAD": 0.010416666666666685,
-    "SD-DFQuAD": 0.004563492063492047,
-    "EB": 0.00044789495651506583,
-    "EBT": 0.0017184087535203618,
+def _margin_claims(fid: str, fn_id: str, mode: str, claim: str, gap_claim: str,
+                   margins: dict[str, float],
+                   sets: tuple[tuple[str, ...], ...] | None = None) -> list[ClaimResult]:
+    """Shared shape of the partition case studies: under each preset in
+    `margins` the All- or Exists-mode partition check flags `fn_id` on
+    topic a with witness gap `margins[name]` and, if `sets` is given,
+    witness partition `sets`. A missing witness or margin fails the claims
+    that read it."""
+    g = fixture(fid)
+    label = sets and ",".join("{" + ",".join(b) + "}" for b in sets)
+    out = []
+    for name, margin in margins.items():
+        v = check_quantitative_contribution_existence(fn_id, g, PRESETS[name], "a", mode=mode)
+        w = v.witness
+        out.append(_violated(fid, f"{name}: {claim}", v))
+        if sets is not None:
+            got = w and w.sets
+            out.append(ClaimResult(fid, f"{name}: violating partition is {label}",
+                                   got == sets, f"witness sets {got}"))
+        out.append(_near(fid, f"{name}: {gap_claim}",
+                         w.values.get("margin", nan) if w else nan, margin, TIGHT))
+    return out
+
+
+#: the partition case studies: fixture -> rows of (function, mode, claim,
+#: gap claim, witness gap per preset[, witness sets])
+_MARGIN_ROWS = {
+    "fig3": [("removal", "All", "partition sums miss sigma-tau for removal",
+              "removal partition gap regression",
+              {"QE": 0.09999999999999998, "DFQuAD": 0.5, "SD-DFQuAD": 0.25,
+               "EB": 0.06449059850433281, "EBT": 0.13347819737727729})],
+    "fig4": [("shapley", "All", "set Shapley sums miss sigma-tau on some partition",
+              "Shapley partition gap regression",
+              {"QE": 0.0007985648059948003, "DFQuAD": 0.010416666666666685,
+               "SD-DFQuAD": 0.004563492063492047, "EB": 0.00044789495651506583,
+               "EBT": 0.0017184087535203618},
+              (("b", "c"), ("d",)))],
+    "fig5": [("gradient-max", "Exists", "gradient-max sums miss sigma-tau on every partition",
+              "closest gradient partition gap",
+              {"QE": 0.24000000000000002, "DFQuAD": 0.5, "SD-DFQuAD": 0.25,
+               "EB": 0.11342272348699982, "EBT": 0.13347819737727729})],
 }
 
 
-def _claims_fig4() -> list[ClaimResult]:
-    fid = "fig4"
-    g = fixture(fid)
-    out = []
-    for name in PRESET_NAMES:
-        v = check_quantitative_contribution_existence(
-            "shapley", g, PRESETS[name], "a")
-        out.append(_violated(fid, f"{name}: set Shapley sums miss sigma-tau "
-                                  "on some partition", v))
-        if v.witness is not None:
-            sets_ok = v.witness.sets == (("b", "c"), ("d",))
-            out.append(ClaimResult(
-                fid, f"{name}: violating partition is {{b,c}},{{d}}", sets_ok,
-                f"witness sets {v.witness.sets}"))
-            out.append(_near(fid, f"{name}: Shapley partition gap regression",
-                             v.witness.values["margin"],
-                             _FIG4_QCE_MARGIN[name], TIGHT))
-    return out
-
-
-_FIG5_WQCE_MARGIN = {
-    "QE": 0.24000000000000002,
-    "DFQuAD": 0.5,
-    "SD-DFQuAD": 0.25,
-    "EB": 0.11342272348699982,
-    "EBT": 0.13347819737727729,
-}
-
-
-def _claims_fig5() -> list[ClaimResult]:
-    fid = "fig5"
-    g = fixture(fid)
-    out = []
-    for name in PRESET_NAMES:
-        v = check_quantitative_contribution_existence(
-            "gradient-max", g, PRESETS[name], "a", mode="Exists")
-        out.append(_violated(fid, f"{name}: gradient-max sums miss sigma-tau "
-                                  "on every partition", v))
-        if v.witness is not None:
-            out.append(_near(fid, f"{name}: closest gradient partition gap",
-                             v.witness.values["margin"],
-                             _FIG5_WQCE_MARGIN[name], TIGHT))
-    return out
-
-
+_DF_SETS = (("d",), ("f",), ("d", "f"))
+_DF_LABELS = ("{d}", "{f}", "{d,f}")
 _FIG6_REMOVAL_TRIPLES = {
     "QE": (-0.012530465952907854, -0.011009024857438043, 0.008610357524313828),
     "DFQuAD": (-0.0018816000000000388, -0.0018816000000000388, 0.08547839999999995),
@@ -234,21 +213,20 @@ def _claims_fig6(slug: str, shapley_family: bool) -> list[ClaimResult]:
     sem = PRESETS[name]
     game = CoalitionGame(g, sem, "a")
     out = []
-    sets = (("d",), ("f",), ("d", "f"))
     if shapley_family:
-        triple = tuple(game.shapley(m).value for m in sets)
+        triple = tuple(game.shapley(m).value for m in _DF_SETS)
         frozen = _FIG6_SHAPLEY_TRIPLES[name]
         fns = ("shapley",)
     else:
-        triple = tuple(game.removal(m).value for m in sets)
+        triple = tuple(game.removal(m).value for m in _DF_SETS)
         frozen = _FIG6_REMOVAL_TRIPLES[name]
         fns = ("removal", "intrinsic")
-        triple_i = tuple(game.intrinsic(m).value for m in sets)
+        triple_i = tuple(game.intrinsic(m).value for m in _DF_SETS)
         gap = max(abs(x - y) for x, y in zip(triple, triple_i))
         out.append(ClaimResult(
             fid, f"{name}: intrinsic removal equals removal on d, f, d+f",
             gap <= EXACT, f"max gap {gap:.3g} <= {EXACT:g}"))
-    for label, obs, exp in zip(("{d}", "{f}", "{d,f}"), triple, frozen):
+    for label, obs, exp in zip(_DF_LABELS, triple, frozen):
         out.append(_near(fid, f"{name}: contribution of {label} regression",
                          obs, exp, TIGHT))
     parts, union = triple[:2], triple[2]
@@ -310,6 +288,16 @@ _TABLE4_ROWS = {
 }
 
 
+def _table_claims(fid: str, prefix: str,
+                  computed: dict[str, tuple[float, float, float]]) -> list[ClaimResult]:
+    """One claim per printed Table 4 cell, read from `computed`: row label ->
+    (removal, shapley, gradient-max). A missing row fails its cells."""
+    return [_near(fid, f"{prefix}{col} of {label} prints as {want:.3f}", obs, want, DISPLAY_3DP)
+            for label, row in _TABLE4_ROWS.items()
+            for col, want, obs in zip(("removal", "shapley", "gradient-max"), row,
+                                      computed.get(label, (nan, nan, nan)))]
+
+
 def _claims_table4() -> list[ClaimResult]:
     fid = "table4"
     g = fixture(fid)
@@ -336,11 +324,7 @@ def _claims_table4() -> list[ClaimResult]:
         computed["CMP"][i] + computed["APR"][i] + computed["{NOV,IMP}"][i]
         for i in range(3)
     )
-    for label, row in _TABLE4_ROWS.items():
-        for col, want, obs in zip(("removal", "shapley", "gradient-max"),
-                                  row, computed[label]):
-            out.append(_near(fid, f"{col} of {label} prints as {want:.3f}",
-                             obs, want, DISPLAY_3DP))
+    out += _table_claims(fid, "", computed)
     blocks = (("NOV", "IMP"), ("CMP",), ("APR",))
     pshap = {b: game.partition_shapley(b, blocks).value for b in blocks}
     total = sum(pshap.values())
@@ -378,13 +362,8 @@ def _claims_fig8() -> list[ClaimResult]:
     out.append(ClaimResult(fid, "decision graph base scores match the bundled "
                                 "decision fixture", tau_gap <= EXACT,
                            f"max gap {tau_gap:.3g} <= {EXACT:g}"))
-    for label, row in _TABLE4_ROWS.items():
-        rep_row = next(r for r in report.rows if r.label == label)
-        for col, want, obs in zip(("removal", "shapley", "gradient-max"), row,
-                                  (rep_row.removal, rep_row.shapley,
-                                   rep_row.gradient_max)):
-            out.append(_near(fid, f"pipeline {col} of {label} prints as {want:.3f}",
-                             obs, want, DISPLAY_3DP))
+    out += _table_claims(fid, "pipeline ", {
+        r.label: (r.removal, r.shapley, r.gradient_max) for r in report.rows})
     out.append(_near(fid, "pipeline decision strength", report.sigma_decision,
                      0.495, DISPLAY_3DP))
     return out
@@ -417,7 +396,7 @@ def _cf_claims(fid: str, sem_name: str, fn_id: str, members: tuple[str, ...],
     return out
 
 
-#: the case studies that are nothing but `_cf_claims`: fixture -> rows of
+#: the counterfactuality case studies: fixture -> rows of
 #: (semantics, function, members, topic, value, value_tol, delta, delta_tol,
 #: note[, regression])
 _CF_ROWS = {
@@ -428,6 +407,8 @@ _CF_ROWS = {
         ("SD-DFQuAD", "intrinsic", ("b",), "a", 0.0, EXACT, -0.33333333333333326, TIGHT,
          "is exactly zero"),
     ],
+    "figA2": [("EB", "intrinsic", ("e",), "a", 3.5431e-06, 1e-9, -2.5002969854526214e-06,
+               TIGHT, "is tiny but positive")],
     "figA3": [("EBT", "intrinsic", ("b",), "a", 0.0, EXACT, -0.014506272286975541, TIGHT,
                "is exactly zero")],
     "figA4": [("QE", "shapley", ("e",), "a", 4.9326e-05, 1e-8, -0.0149, DISPLAY_3DP,
@@ -451,14 +432,8 @@ _CF_ROWS = {
 
 
 def _claims_figA2() -> list[ClaimResult]:
-    g = fixture("figA2")
-    out = [_near("figA2", "EB: final strength of e",
-                 evaluate(g, PRESETS["EB"])["e"], 0.05194178818970596, TIGHT)]
-    out += _cf_claims("figA2", "EB", "intrinsic", ("e",), "a",
-                      value=3.5431e-06, value_tol=1e-9,
-                      delta=-2.5002969854526214e-06, delta_tol=TIGHT,
-                      note="is tiny but positive")
-    return out
+    return [_near("figA2", "EB: final strength of e",
+                  evaluate(fixture("figA2"), PRESETS["EB"])["e"], 0.05194178818970596, TIGHT)]
 
 
 def _claims_figA9() -> list[ClaimResult]:
@@ -486,17 +461,18 @@ def _builders():
     builders = {
         "fig1a": _claims_fig1a,
         "fig3": _claims_fig3,
-        "fig4": _claims_fig4,
-        "fig5": _claims_fig5,
         "fig7": _claims_fig7,
         "table4": _claims_table4,
         "fig8": _claims_fig8,
         "figA2": _claims_figA2,
         "figA9": _claims_figA9,
     }
-    for fid, rows in _CF_ROWS.items():
-        builders[fid] = lambda fid=fid, rows=rows: [
-            claim for row in rows for claim in _cf_claims(fid, *row)]
+    # a fixture's row claims come after its bespoke ones
+    for table, helper in ((_CF_ROWS, _cf_claims), (_MARGIN_ROWS, _margin_claims)):
+        for fid, rows in table.items():
+            builders[fid] = (
+                lambda fid=fid, rows=rows, helper=helper, first=builders.get(fid, list):
+                first() + [claim for row in rows for claim in helper(fid, *row)])
     for slug in SEMANTICS_SLUGS:
         builders[f"fig6-{slug}"] = (
             lambda s=slug: _claims_fig6(s, shapley_family=False))
