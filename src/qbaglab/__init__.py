@@ -36,6 +36,7 @@ from .errors import (
     StrengthRangeError,
     TopicInSetError,
     UnknownArgumentError,
+    UnknownFixtureError,
 )
 from .fixtures import FIG8_MANIFEST, FIXTURE_IDS, FIXTURES, fixture
 from .graph import (

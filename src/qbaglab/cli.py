@@ -321,10 +321,7 @@ def cmd_reproduce(args) -> int:
     else:
         if not args.fixtures:
             raise UsageError("give fixture ids or --all")
-        try:
-            report = run_some(args.fixtures)
-        except KeyError as exc:
-            raise UsageError(str(exc.args[0]))
+        report = run_some(args.fixtures)
     print(report.render())
     return 0 if report.ok else 1
 

@@ -24,11 +24,12 @@ Inside the game a set of arguments is one int, so a contributor set's
 member mask is also its coalition, and `table(fn)` holds the values of one
 set function by mask; names appear only where a method takes them.
 Shapley drops the null players, those outside the cone: exact (partition)
-Shapley enumerates the 2^(k+1) coalitions of the k players left in one
-Gray-code walk that recomputes only the cone nodes a flipped player can
-reach, and Monte-Carlo Shapley draws coalitions of those k players (one
-u uniform in [0, 1), then each player joins with probability u) and
-evaluates each distinct coalition drawn once.
+Shapley enumerates the 2^(k+1) coalitions of the k players left in
+Gray-code order, and Monte-Carlo Shapley draws coalitions of those k
+players (one u uniform in [0, 1), then each player joins with probability
+u) and sorts the distinct ones in cone order. One walk evaluates either
+list, recomputing only the cone nodes where a coalition differs from the
+previous evaluation.
 
 The single-argument functions are implemented independently of the set
 functions on purpose: agreement between `single_contribution(kind, ...)`
@@ -154,10 +155,11 @@ class CoalitionGame:
     contribution is always 0). Exact Shapley raises `BudgetError` when the
     2^(k+1) coalitions of the k players left and the set exceed
     `budget`; a set outside the cone is worth 0. It fills the memo in one
-    Gray-code walk over those coalitions, recomputing at each step only the
-    nodes from the flipped player's first cone node on, then sums in the
-    order of itertools.combinations, so a game with no null players gives
-    the plain enumeration's value bit for bit.
+    Gray-code walk over those coalitions, then sums in the order of
+    itertools.combinations, so a game with no null players gives the plain
+    enumeration's value bit for bit. Monte-Carlo Shapley walks the distinct
+    coalitions drawn, in cone order. `node_updates` counts the cone nodes
+    recomputed.
     """
 
     def __init__(self, g: Qbag, sem, topic: str, budget: int = DEFAULT_BUDGET):
@@ -179,6 +181,7 @@ class CoalitionGame:
         self._tables: dict[object, dict[int, float]] = {}
         self._walked: set[frozenset] = set()
         self.computed = 0
+        self.node_updates = 0
 
     @cached_property
     def _cone(self) -> tuple[int, list[tuple[int, tuple]]]:
@@ -261,6 +264,7 @@ class CoalitionGame:
         position `start` of their order on for the coalition (`removed`,
         `detached`) and return the topic's; the nodes before hold them already."""
         nodes, step, tau = self._cone[1], self._steps[0], self._tau
+        self.node_updates += len(nodes) - start
         for b, parents in nodes[start:]:
             if removed >> b & 1:
                 vals[b] = 0.0  # never read: every edge out of it is cut
@@ -280,30 +284,46 @@ class CoalitionGame:
             self.computed += 1
         return hit
 
+    def _key(self, m: int) -> int:
+        """The cone-order key of mask `m`: one bit per cone node in it, the earliest highest."""
+        nodes = self._cone[1]
+        top = len(nodes) - 1
+        return sum(1 << top - i for i, (b, _) in enumerate(nodes) if m >> b & 1)
+
+    def _walk(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Memoise v(S) for the (`_key(S)`, S) pairs in their order. A miss
+        recomputes only the cone nodes from the first one in which S differs
+        from the last coalition computed; a coalition the memo holds is
+        skipped."""
+        values, top = self._values, len(self._cone[1])
+        vals = [0.0] * (len(self.players) + 1)
+        last = 1 << top  # nothing computed yet: the first miss starts at node 0
+        for key, s in pairs:
+            if s not in values:
+                values[s] = self._update(vals, max(0, top - (key ^ last).bit_length()), s)
+                self.computed += 1
+                last = key
+
     def _fill(self, players: Sequence[int]) -> None:
         """Memoise v(S) for every coalition S of `players` (disjoint non-zero
-        cone masks) in one Gray-code walk; the player whose first cone node
-        comes latest flips most often. A set of players walked before is
-        skipped: the memo holds its coalitions already."""
+        cone masks) in one `_walk` in Gray-code order; the player whose first
+        cone node comes latest flips most often. A set of players walked
+        before is skipped: the memo holds its coalitions already."""
         walk = frozenset(players)
         if walk in self._walked:
             return
         self._walked.add(walk)
-        nodes = self._cone[1]
-        first = {p: next(i for i, (b, _) in enumerate(nodes) if p >> b & 1) for p in players}
-        players = sorted(players, key=first.get, reverse=True)
-        firsts = [first[p] for p in players]
-        vals = [0.0] * (len(self.players) + 1)
-        removed, dirty = 0, 0
-        for t in range(1 << len(players)):
-            if t:
-                k = (t & -t).bit_length() - 1
-                removed ^= players[k]
-                dirty = min(dirty, firsts[k])
-            if removed not in self._values:
-                self._values[removed] = self._update(vals, dirty, removed)
-                self.computed += 1
-                dirty = len(nodes)
+        keyed = sorted((self._key(p), p) for p in players)
+
+        def gray():
+            key = removed = 0
+            yield key, removed
+            for t in range(1, 1 << len(keyed)):
+                k, p = keyed[(t & -t).bit_length() - 1]
+                key, removed = key ^ k, removed ^ p
+                yield key, removed
+
+        self._walk(gray())
 
     def dual(self, x: str) -> float:
         """d(topic strength) / d(tau(x)), one forward-mode pass over the cone
@@ -410,9 +430,9 @@ class CoalitionGame:
         multiples of 2^-53, so a player joins with probability exactly u,
         and S has its Shapley weight, the integral over u of
         u^|S| (1-u)^(k-|S|), which is |S|!(k-|S|)!/(k+1)!. The draws are
-        tallied by coalition, each distinct marginal v(S) - v(S + set) is
-        evaluated once, and the mean and `std_error` are summed from the
-        (marginal, count) pairs."""
+        tallied by coalition, the distinct S and S + set are evaluated in
+        one `_walk` in cone order, and the mean and `std_error` are summed
+        from the (marginal v(S) - v(S + set), count) pairs in draw order."""
         if not monte_carlo:
             return self.contribution("shapley", members)
         if samples < 1:
@@ -427,9 +447,19 @@ class CoalitionGame:
         tally: dict[int, int] = {}
         for _ in range(samples):
             u = draw()
-            coalition = sum([p for p in players if draw() < u])
+            coalition = 0
+            for p in players:
+                if draw() < u:
+                    coalition += p
             tally[coalition] = tally.get(coalition, 0) + 1
-        marginals = [(self.value(c) - self.value(c | member_mask), n) for c, n in tally.items()]
+        keys = [(p, self._key(p)) for p in players]
+        member_key, pairs = self._key(member_mask), []
+        for c in tally:
+            key = sum([k for p, k in keys if c & p])
+            pairs += (key, c), (key | member_key, c | member_mask)
+        self._walk(sorted(pairs))
+        values = self._values
+        marginals = [(values[c] - values[c | member_mask], n) for c, n in tally.items()]
         # shifted by one drawn marginal, so a constant marginal has exactly 0 spread
         first = marginals[0][0]
         value = first + math.fsum(n * (d - first) for d, n in marginals) / samples

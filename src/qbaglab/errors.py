@@ -77,6 +77,12 @@ class BudgetError(QbagError):
         )
 
 
+class UnknownFixtureError(QbagError, KeyError):
+    """No reproduction claims under a fixture id; still a KeyError."""
+
+    __str__ = QbagError.__str__  # the message, not KeyError's repr of it
+
+
 class PartitionSpaceError(QbagError):
     """Too many elements to enumerate all set partitions."""
 

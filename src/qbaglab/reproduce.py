@@ -22,6 +22,7 @@ from math import nan
 from typing import Iterable
 
 from .contributions import CoalitionGame, Psi
+from .errors import UnknownFixtureError
 from .fixtures import FIG8_MANIFEST, SEMANTICS_SLUGS, fixture
 from .principles import (
     MatrixReport,
@@ -492,7 +493,7 @@ def run_claims(fixture_ids: Iterable[str] | None = None) -> list[ClaimResult]:
         ids = tuple(fixture_ids)
         unknown = [fid for fid in ids if fid not in builders]
         if unknown:
-            raise KeyError(
+            raise UnknownFixtureError(
                 f"no claims for fixture id(s): {', '.join(unknown)}; "
                 f"known: {', '.join(CLAIM_FIXTURES)}")
     results = []

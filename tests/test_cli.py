@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 import qbaglab
+from qbaglab import reproduce
 from qbaglab.cli import main
 from qbaglab.fixtures import fixture
 from qbaglab.principles import TABLE_PRINCIPLES, run_check, topics_of
@@ -404,6 +405,16 @@ def test_reproduce_single_fixture(capsys):
 def test_reproduce_unknown_fixture(capsys):
     code, _, _ = run(capsys, "reproduce", "fig99")
     assert code == 2
+
+
+def test_reproduce_reports_a_key_error_inside_a_builder_as_a_fault(capsys, monkeypatch):
+    def broken():
+        raise KeyError("margin")
+
+    monkeypatch.setattr(reproduce, "_claims_fig1a", broken)
+    with pytest.raises(KeyError, match="margin"):
+        main(["reproduce", "fig1a"])
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_reproduce_needs_target(capsys):

@@ -31,7 +31,7 @@ from qbaglab.errors import (
     UnknownArgumentError,
 )
 from qbaglab.fixtures import fixture
-from qbaglab.graph import detach_incoming, qbag, restrict
+from qbaglab.graph import detach_incoming, influencers, qbag, restrict
 from qbaglab.principles import random_qbag
 from qbaglab.semantics import PRESET_NAMES, PRESETS, Aggregation, Semantics, evaluate, linear
 
@@ -317,6 +317,97 @@ def test_monte_carlo_shapley_of_a_constant_marginal_has_zero_std_error():
         assert est.std_error == 0.0
         assert abs(est.value - game.shapley(members).value) <= 1e-9
         checked += 1
+
+
+def _drawn_shapley(g, sem, members, topic, samples, seed):
+    """The Monte-Carlo estimator with each draw's members in a list and each
+    distinct coalition read through `value()` on a fresh game: (value,
+    std_error, the coalitions evaluated)."""
+    game = CoalitionGame(g, sem, topic)
+    member_mask = game.mask(members)
+    players = [p for p in (game.mask((x,)) for x in game.players if x not in members) if p]
+    draw = random.Random(seed).random
+    tally = {}
+    for _ in range(samples):
+        u = draw()
+        coalition = sum([p for p in players if draw() < u])
+        tally[coalition] = tally.get(coalition, 0) + 1
+    marginals = [(game.value(c) - game.value(c | member_mask), n) for c, n in tally.items()]
+    first = marginals[0][0]
+    value = first + math.fsum(n * (d - first) for d, n in marginals) / samples
+    err = None
+    if samples > 1:
+        var = math.fsum(n * (d - value) ** 2 for d, n in marginals) / (samples - 1)
+        err = math.sqrt(var) / math.sqrt(samples)
+    return value, err, {c | m for c in tally for m in (0, member_mask)}
+
+
+def test_monte_carlo_shapley_equals_the_draw_by_draw_estimator():
+    rng = random.Random(47)
+    grid = tuple(i / 10 for i in range(11))
+    seen = {"null player": 0, "several members": 0, "unreachable set": 0, "hits and misses": 0}
+    for i in range(240):
+        g = random_qbag(rng, n=rng.randint(2, 12), edge_prob=rng.choice((0.15, 0.3, 0.5)),
+                        grid=grid)
+        sem = PRESETS[PRESET_NAMES[i % len(PRESET_NAMES)]]
+        args = sorted(g.arguments)
+        topic = max(args, key=lambda a: len(influencers(g, a))) if i % 4 else rng.choice(args)
+        others = sorted(g.arguments - {topic})
+        if not others:
+            continue
+        members = rng.sample(others, rng.randint(1, min(3, len(others))))
+        samples, seed = rng.choice((1, 2, 7, 2000)), rng.randrange(2 ** 31)
+        game = CoalitionGame(g, sem, topic)
+        if i % 3 == 1:  # a game that holds every coalition already
+            game.shapley(members)
+        elif i % 3 == 2:  # ... or some: the walk mixes hits and misses
+            game.shapley(members, monte_carlo=True, samples=20, seed=seed + 1)
+        held = set(game._values)
+        got = game.shapley(members, monte_carlo=True, samples=samples, seed=seed)
+        value, err, coalitions = _drawn_shapley(g, sem, members, topic, samples, seed)
+        assert (got.value, got.std_error) == (value, err)
+        assert got.evaluations == len(coalitions - held)
+        seen["hits and misses"] += 0 < got.evaluations < len(coalitions)
+        seen["null player"] += not all(game.mask((x,)) for x in others)
+        seen["several members"] += len(members) > 1
+        seen["unreachable set"] += game.mask(members) == 0
+    assert min(seen.values()) >= 10, seen
+
+
+def _cone_qbag(rng, n):
+    """n arguments x00, x01, ... of which each has an edge to a later one, so
+    every argument reaches the last, the topic."""
+    names = [f"x{i:02d}" for i in range(n)]
+    tau = {x: rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)) for x in names}
+    edges = {True: [], False: []}
+    for i in range(n - 1):
+        later = {rng.randrange(i + 1, n)} | {j for j in range(i + 1, n) if rng.random() < 0.2}
+        for j in sorted(later):
+            edges[rng.random() < 0.5].append((names[i], names[j]))
+    return qbag(tau, attacks=edges[True], supports=edges[False]), names[-1]
+
+
+def test_monte_carlo_walk_shares_cone_prefixes():
+    g, topic = _cone_qbag(random.Random(12), 12)
+    game = CoalitionGame(g, QE, topic)
+    game.shapley(("x05",), monte_carlo=True, samples=20_000, seed=1)
+    cone_nodes = game.mask((*game.players, topic)).bit_count()
+    assert cone_nodes == 12 and game.computed > 1000
+    # from scratch, every evaluation updates every cone node
+    assert 2 * game.node_updates <= game.computed * cone_nodes
+
+
+@pytest.mark.parametrize("n,k,name,seed,want", [
+    (12, 1, "QE", 5, ("-0x1.29318b0c60275p-3", "0x1.f9872b2eb8419p-11", 2048)),
+    (13, 2, "DFQuAD", 6, ("0x1.37f1fd7092fdcp-2", "0x1.2ad872d995a53p-10", 2048)),
+    (14, 3, "EB", 7, ("-0x1.0d4a989a79e67p-4", "0x1.6f4f8a1eaff98p-13", 2048)),
+])
+def test_monte_carlo_shapley_of_explain_sized_cones_is_pinned(n, k, name, seed, want):
+    rng = random.Random(n)
+    g, topic = _cone_qbag(rng, n)
+    members = rng.sample(sorted(g.arguments - {topic}), k)
+    r = shapley(g, PRESETS[name], members, topic, monte_carlo=True, samples=20_000, seed=seed)
+    assert (r.value.hex(), r.std_error.hex(), r.evaluations) == want
 
 
 def test_mask_rejects_unknown_names_and_accepts_the_topic():
