@@ -78,7 +78,7 @@ class BudgetError(QbagError):
 
 
 class UnknownFixtureError(QbagError, KeyError):
-    """No reproduction claims under a fixture id; still a KeyError."""
+    """An unknown fixture id, or one with no reproduction claims; still a KeyError."""
 
     __str__ = QbagError.__str__  # the message, not KeyError's repr of it
 

@@ -9,6 +9,7 @@ Shapley variant of the same story).
 
 from __future__ import annotations
 
+from .errors import UnknownFixtureError
 from .graph import Qbag, qbag
 
 _FIG6_ATTACKS = (("c", "e"), ("e", "a"))
@@ -159,6 +160,6 @@ def fixture(fid: str) -> Qbag:
     try:
         return FIXTURES[fid]
     except KeyError:
-        raise KeyError(
+        raise UnknownFixtureError(
             f"unknown fixture id {fid!r}; known ids: {', '.join(FIXTURE_IDS)}"
         ) from None

@@ -13,8 +13,9 @@ its variant share one, told apart by `principle` (All or Exists for
 quantitative existence, the sign or the value test for counterfactuality).
 A checker reads its values from one `CoalitionGame` for (graph, semantics,
 topic): `run_check` builds that game, and each public `check_*` function is
-`run_check` with its principle; `run_matrix` shares one game per (graph,
-semantics, topic) across all cells, and `qbaglab principles` one per
+`run_check` with its principle; `run_matrix` builds one game per (graph,
+topic) instance under each preset, shares it across the cells still open
+and drops it before the next, and `qbaglab principles` shares one per
 (graph, topic) across the table principles. Every violation is built by
 `_violated`, which names its witness sets by `game.names` and attaches the
 topic and the graph to replay it on.
@@ -558,9 +559,11 @@ def search_counterexample(
     """Hunt for a violation over random graphs and shrink the first hit."""
     cfg = cfg or SearchConfig()
     principle = principle_from_name(principle)
+    # run_check ignores the topic of these two, so they are checked once per graph
+    whole_graph = principle in (Principle.STABILITY, Principle.CTRB_GENERALIZATION)
 
     def violated_on(g: Qbag) -> PrincipleVerdict | None:
-        for topic in sorted(g.arguments):
+        for topic in [None] if whole_graph else sorted(g.arguments):
             verdict = run_check(principle, fn, g, sem, topic, cfg=cfg)
             if verdict.violated:
                 return verdict
@@ -606,9 +609,7 @@ def search_counterexample(
 # --- the verdict matrix -----------------------------------------------------------
 
 
-def _per_sem(value) -> dict[str, bool]:
-    if isinstance(value, dict):
-        return value
+def _per_sem(value: bool) -> dict[str, bool]:
     return {name: value for name in PRESET_NAMES}
 
 
@@ -728,42 +729,38 @@ def run_matrix(cfg: SearchConfig | None = None) -> MatrixReport:
     """Check every (function, semantics, principle) cell against the expected
     pattern: expected violations must reproduce on their designated fixture,
     expected satisfactions must survive the bundled fixtures plus the seeded
-    random corpus of `cfg` without a counterexample."""
+    random corpus of `cfg` without a counterexample. Each instance gets one
+    game, shared by the cells still open under its preset and then dropped."""
     cfg = cfg or SearchConfig()
-    corpus: list[Qbag] = [FIXTURES[k] for k in sorted(FIXTURES)] + random_corpus(cfg)
-    instances = [(g, topic) for g in corpus for topic in topics_of(g)]
-
-    games: dict[tuple[Qbag, str, str], CoalitionGame] = {}
-
-    def game_for(g: Qbag, sem_name: str, topic: str) -> CoalitionGame:
-        key = (g, sem_name, topic)  # equal graphs share one game
-        if key not in games:
-            games[key] = CoalitionGame(g, sem_name, topic, cfg.budget)
-        return games[key]
-
-    cells = []
-    for principle in TABLE_PRINCIPLES:
-        check = _CHECKERS[principle]
-        for fn in SET_FUNCTION_IDS:
-            for sem_name in PRESET_NAMES:
-                expected = EXPECTED_VERDICTS[principle][fn][sem_name]
-                if expected:
-                    status, fixture_id, witness, checked = "PASS", None, None, 0
-                    for g, topic in instances:
-                        verdict = check(principle, fn, game_for(g, sem_name, topic), cfg)
-                        checked += verdict.checked
-                        if verdict.violated:
-                            status, witness = "MISMATCH", verdict.witness
-                            break
-                else:
-                    fixture_id, topic = violation_fixture(principle, fn, sem_name)
-                    g = FIXTURES[fixture_id]
-                    verdict = check(principle, fn, game_for(g, sem_name, topic), cfg)
-                    checked, witness = verdict.checked, verdict.witness
-                    status = "VIOLATION-REPRODUCED" if verdict.violated else "MISMATCH"
-                cells.append(MatrixCell(
-                    fn=fn, semantics=sem_name, principle=principle,
-                    expected_satisfied=expected, status=status,
-                    fixture=fixture_id, witness=witness, checked=checked,
-                ))
-    return MatrixReport(cells=tuple(cells))
+    corpus = [(k, FIXTURES[k]) for k in sorted(FIXTURES)]
+    corpus += [(None, g) for g in random_corpus(cfg)]
+    instances = [(k, g, topic) for k, g in corpus for topic in topics_of(g)]
+    cells: dict[tuple[Principle, str, str], MatrixCell] = {}
+    for sem_name in PRESET_NAMES:
+        checked: dict[tuple[Principle, str], int] = {}  # open expected satisfactions
+        due: dict[tuple[str, str], list] = {}  # (fixture id, topic): its expected violations
+        for cell in itertools.product(TABLE_PRINCIPLES, SET_FUNCTION_IDS):
+            if EXPECTED_VERDICTS[cell[0]][cell[1]][sem_name]:
+                checked[cell] = 0
+            else:
+                due.setdefault(violation_fixture(*cell, sem_name), []).append(cell)
+        for fixture_id, g, topic in instances:
+            game = CoalitionGame(g, sem_name, topic, cfg.budget)
+            for principle, fn in due.pop((fixture_id, topic), ()):
+                verdict = _CHECKERS[principle](principle, fn, game, cfg)
+                status = "VIOLATION-REPRODUCED" if verdict.violated else "MISMATCH"
+                cells[principle, fn, sem_name] = MatrixCell(
+                    fn, sem_name, principle, False, status, fixture_id,
+                    verdict.witness, verdict.checked)
+            for principle, fn in list(checked):
+                verdict = _CHECKERS[principle](principle, fn, game, cfg)
+                checked[principle, fn] += verdict.checked
+                if verdict.violated:  # the cell closes on its first counterexample
+                    cells[principle, fn, sem_name] = MatrixCell(
+                        fn, sem_name, principle, True, "MISMATCH",
+                        witness=verdict.witness, checked=checked.pop((principle, fn)))
+        for (principle, fn), count in checked.items():
+            cells[principle, fn, sem_name] = MatrixCell(
+                fn, sem_name, principle, True, "PASS", checked=count)
+    return MatrixReport(tuple(cells[key] for key in itertools.product(
+        TABLE_PRINCIPLES, SET_FUNCTION_IDS, PRESET_NAMES)))

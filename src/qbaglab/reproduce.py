@@ -34,7 +34,7 @@ from .principles import (
     check_quantitative_contribution_existence,
     run_matrix,
 )
-from .review import aspect_model, build_decision_graph, evaluate_text_layer, report_contributions
+from .review import aspect_model, evaluate_text_layer, report_contributions
 from .semantics import PRESET_NAMES, PRESETS, evaluate
 from .verdicts import Status
 
@@ -351,7 +351,7 @@ def _claims_fig8() -> list[ClaimResult]:
     sigma = evaluate_text_layer(model)
     for a, want in _FIG8_TEXT_SIGMA.items():
         out.append(_near(fid, f"text-layer strength of {a}", sigma[a], want, TIGHT))
-    dg = build_decision_graph(model)
+    dg = report.graph
     t4 = fixture("table4")
     shape_ok = (dg.arguments == t4.arguments and dg.attacks == t4.attacks
                 and dg.supports == t4.supports)

@@ -5,6 +5,8 @@ Criteria 6-10 are property-based checks over seeded random corpora, standing
 in for claims that quantify over all graphs. Run with -s to see the lines.
 """
 
+import hashlib
+import json
 import random
 
 from qbaglab.contributions import (
@@ -288,6 +290,11 @@ def test_acceptance_09_partition_shapley_efficiency():
                f"{worst:.2e})")
 
 
+#: sha256 of every verdict-matrix cell as JSON; recorded while run_matrix
+#: still kept every game it built until it returned
+MATRIX_SHA256 = "c883e14a868b58f0d994a7b50943affd9d7a6205898d29b79c62970f896e25c9"
+
+
 def test_acceptance_10_full_reproduction():
     report = run_all()
     claims_ok = sum(c.passed for c in report.claims)
@@ -296,3 +303,9 @@ def test_acceptance_10_full_reproduction():
                f"reproduce --all: {claims_ok}/{len(report.claims)} claims, "
                f"verdict matrix {len(report.matrix.cells)} cells with "
                f"{mismatches} mismatch(es)")
+    cells = [[c.fn, c.semantics, c.principle.value, c.expected_satisfied, c.status,
+              c.fixture, c.checked, c.witness.to_dict() if c.witness else None]
+             for c in report.matrix.cells]
+    assert (len(cells), sum(c.checked for c in report.matrix.cells)) == (160, 2_591_962)
+    text = json.dumps(cells, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_SHA256

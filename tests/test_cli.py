@@ -122,6 +122,22 @@ def test_contrib_value_and_json(capsys):
     assert payload["evaluations"] == 8
 
 
+@pytest.mark.parametrize("flags, lines", [
+    (("table4", "--function", "shapley", "--set", "NOV,IMP", "--topic", "D",
+      "--semantics", "DFQuAD"),
+     ["shapley({IMP,NOV}) -> D under DFQuAD", "value: 0.04749999999999998",
+      "evaluations: 8"]),
+    (("fig1a", "--function", "shapley", "--set", "d", "--topic", "a",
+      "--semantics", "QE", "--monte-carlo", "--samples", "200", "--seed", "3"),
+     ["shapley({d}) -> a under QE", "value: -0.004208784127492968",
+      "evaluations: 32", "std_error: 0.0012101518790063196"]),
+], ids=["exact", "monte-carlo"])
+def test_contrib_human(capsys, flags, lines):
+    code, out, _ = run(capsys, "contrib", *flags)
+    assert code == 0
+    assert out.splitlines() == lines
+
+
 def test_contrib_topic_in_set(capsys):
     code, _, err = run(capsys, "contrib", "fig1a", "--function", "removal",
                        "--set", "a,d", "--topic", "a", "--semantics", "QE")
@@ -141,6 +157,14 @@ def test_contrib_budget_env_override(capsys, monkeypatch):
     code, _, err = run(capsys, "contrib", "fig1a", "--function", "shapley",
                        "--set", "d", "--topic", "a", "--semantics", "QE")
     assert code == 5
+
+
+def test_contrib_budget_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("QBAGLAB_EVAL_BUDGET", "abc")
+    code, out, err = run(capsys, "contrib", "fig1a", "--function", "removal",
+                         "--set", "d", "--topic", "a", "--semantics", "QE")
+    assert (code, out, err) == (
+        2, "", "error: QBAGLAB_EVAL_BUDGET must be an integer, got 'abc'\n")
 
 
 def test_contrib_monte_carlo(capsys):
@@ -266,6 +290,26 @@ def test_principles_random_rejects_an_empty_corpus(capsys, n):
                          "--expect-satisfied")
     assert code == 2 and out == ""
     assert f"n={n}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("principles", "--random", "seed"), "--random expects key=value pairs, got 'seed'"),
+    (("principles", "--random", "seed=x"),
+     "--random values must be integers: invalid literal for int() with base 10: 'x'"),
+    (("principles", "--random", "n=1.5"),
+     "--random values must be integers: invalid literal for int() with base 10: '1.5'"),
+    (("principles", "--random", "seed=1,m=3"),
+     "--random supports seed=... and n=..., got ['m']"),
+    (("signmap", "fig1a", "--topic", "a", "--sweep", "d"),
+     "--sweep needs exactly two arguments, got 'd'"),
+    (("signmap", "fig1a", "--topic", "a", "--sweep", "d,f,b"),
+     "--sweep needs exactly two arguments, got 'd,f,b'"),
+    (("reproduce", "--all", "fig1a"), "--all does not take fixture ids"),
+], ids=["random-no-value", "random-seed-not-int", "random-n-not-int", "random-unknown-key",
+        "sweep-one-id", "sweep-three-ids", "reproduce-all-with-ids"])
+def test_malformed_invocations_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_principles_needs_input(capsys):

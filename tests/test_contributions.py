@@ -595,6 +595,12 @@ def test_sign_map_rejects_bad_sweep_and_step():
         sign_map(g, QE, "a", (("d",),), ("d", "f"), step=0.6)
 
 
+def test_sign_map_rejects_an_unknown_function():
+    with pytest.raises(ContributorError,
+                       match="unknown contribution function 'nope'; known: removal,"):
+        sign_map(fixture("fig1a"), QE, "a", (("d",),), ("d", "f"), function="nope")
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 8_000), name=st.sampled_from(PRESET_NAMES))
 def test_directionality_of_removal_on_random_graphs(seed, name):

@@ -1,17 +1,21 @@
+import gc
 import hashlib
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbaglab import principles
 from qbaglab.contributions import CoalitionGame, removal
 from qbaglab.errors import PartitionSpaceError
 from qbaglab.fixtures import FIXTURES, fixture
 from qbaglab.graph import can_reach, qbag
 from qbaglab.principles import (
     EXPECTED_VERDICTS,
+    MAX_PAIR_ARGS,
     MAX_PARTITION_ARGS,
     SET_FUNCTION_IDS,
     STRENGTH_GRID,
@@ -31,6 +35,7 @@ from qbaglab.principles import (
     random_corpus,
     random_qbag,
     run_check,
+    run_matrix,
     search_counterexample,
     topics_of,
     violation_fixture,
@@ -363,7 +368,8 @@ def test_sampled_branches_are_pinned(shape, fn):
 def test_every_table_verdict_on_the_fixtures_is_pinned():
     # Recorded before the checkers took one shape: every table principle,
     # set function and preset on every topic of the fixtures but fig8, one
-    # game per (fixture, preset, topic) as run_matrix shares them.
+    # game per (fixture, preset, topic) shared by all its cells, as run_matrix
+    # shares each instance's game under a preset.
     assert set(_CHECKERS) == set(TABLE_PRINCIPLES)
     cfg, digest, count = SearchConfig(), hashlib.sha256(), 0
     for fid in sorted(FIXTURES):
@@ -432,6 +438,72 @@ def test_search_counterexample_finds_and_shrinks_deterministically():
     assert first.witness.graph == second.witness.graph
     # shrunk witness graphs stay small enough to read
     assert len(first.witness.graph.arguments) <= 5
+
+
+@pytest.mark.parametrize("principle, fn, calls, digest", [
+    (Principle.CTRB_GENERALIZATION, "shapley", 30,
+     "82daa9def4e47873e466dfd103e4a82426ae007f736223afec6b19a2c62d530a"),
+    (Principle.CTRB_GENERALIZATION, "gradient-maxabs", 4,
+     "b0963b2d9545b65c184a1057186014c546dd177011a405c39c95a8691284d2a2"),
+    (Principle.STABILITY, "removal", 30,
+     "ea580104b696eea5049afa60b383035e159f28770dc89b6cd7367589107af5f0"),
+], ids=["generalization-shapley", "generalization-gradient-maxabs", "stability"])
+def test_search_counterexample_checks_a_whole_graph_principle_once_per_graph(
+        monkeypatch, principle, fn, calls, digest):
+    # The verdicts were recorded when each argument of a graph was checked in
+    # turn: 131, 6 and 131 calls. gradient-maxabs is violated and shrunk.
+    name = ("check_generalization" if principle is Principle.CTRB_GENERALIZATION
+            else "check_stability")
+    real, graphs = getattr(principles, name), []
+
+    def counted(*args, **kw):  # both take the graph second
+        graphs.append(args[1])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(principles, name, counted)
+    v = search_counterexample(principle, fn, QE, SearchConfig(random_graphs=30, seed=1))
+    assert len(graphs) == calls
+    text = json.dumps(v.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_sampled_consistency_reports_the_first_clashing_pair():
+    g = random_qbag(random.Random(0), 9, 0.6, STRENGTH_GRID)
+    assert len(g.arguments) - 1 > MAX_PAIR_ARGS  # pairs are drawn, not enumerated
+    v = check_consistency("removal", g, QE, "g")
+    assert (v.status, v.checked) == (Status.VIOLATED, 12)
+    assert v.witness.sets == (("a", "i"), ("a", "b", "c", "d"), ("a", "b", "c", "d", "i"))
+    assert v.witness.values == {
+        "S(X)(a)": 0.004628794845175421, "S(Y)(a)": 0.09261466994283446,
+        "S(X∪Y)(a)": -0.02772206376265246, "margin": 0.02772206376265246}
+
+
+def test_run_matrix_keeps_no_game_across_instances(monkeypatch):
+    # A game and its tables form a reference cycle, so a dropped game lives
+    # until the cycle collector runs: collect before each count. The objects
+    # that exist already are frozen, which keeps each collection short.
+    refs, alive_at_build = [], []
+
+    def alive() -> int:
+        gc.collect()
+        return sum(r() is not None for r in refs)
+
+    class Recorded(CoalitionGame):
+        def __init__(self, *args, **kw):
+            alive_at_build.append(alive())
+            super().__init__(*args, **kw)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(principles, "CoalitionGame", Recorded)
+    gc.freeze()
+    try:
+        report = run_matrix(SearchConfig(random_graphs=3))
+        assert alive() == 0
+    finally:
+        gc.unfreeze()
+    assert len(report.cells) == 160 and report.ok
+    assert len(refs) > 5 * len(FIXTURES)
+    assert max(alive_at_build) <= 1
 
 
 def test_search_counterexample_reports_inconclusive_when_clean():

@@ -4,10 +4,15 @@ regression takes away a number a claim reads."""
 import hashlib
 from dataclasses import replace
 
+import pytest
+
 from qbaglab import reproduce
 from qbaglab.cli import main
-from qbaglab.reproduce import run_claims, run_some
-from qbaglab.verdicts import Status
+from qbaglab.errors import UnknownFixtureError
+from qbaglab.fixtures import fixture
+from qbaglab.principles import MatrixCell, MatrixReport
+from qbaglab.reproduce import ReproduceReport, run_claims, run_some
+from qbaglab.verdicts import Principle, Status
 
 CLAIMS_SHA256 = "015370d1baf7a9809fa554ff5e55e65d7403ceb115df7ef8119654bb39b589b3"
 
@@ -53,3 +58,26 @@ def test_a_missing_pipeline_row_fails_its_cells(monkeypatch):
                       (("removal", "0.120"), ("shapley", "0.210"), ("gradient-max", "0.200"))]
     assert len(report.claims) == 28
     assert report.ok is False
+
+
+def test_render_lists_each_mismatched_cell():
+    cells = (
+        MatrixCell("shapley", "QE", Principle.CONSISTENCY, False, "MISMATCH",
+                   "fig6-shapley-qe", checked=3),
+        MatrixCell("removal", "EB", Principle.DIRECTIONALITY, True, "PASS", checked=10),
+        MatrixCell("intrinsic", "EBT", Principle.MONOTONICITY, True, "MISMATCH", checked=7),
+    )
+    report = ReproduceReport(claims=(), matrix=MatrixReport(cells))
+    assert report.render().splitlines() == [
+        "claims: 0/0 reproduced",
+        "verdict matrix: 3 cells, 2 mismatch(es)",
+        "MISMATCH shapley x QE x Consistency: MISMATCH",
+        "MISMATCH intrinsic x EBT x Monotonicity: MISMATCH",
+        "reproduce: FAILED",
+    ]
+
+
+@pytest.mark.parametrize("caught", [UnknownFixtureError, KeyError])
+def test_an_unknown_fixture_id_is_an_unknown_fixture_error(caught):
+    with pytest.raises(caught, match=r"^unknown fixture id 'fig99'; known ids: fig1a, "):
+        fixture("fig99")
