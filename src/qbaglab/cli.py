@@ -18,7 +18,6 @@ import sys
 from .contributions import (
     DEFAULT_BUDGET,
     FUNCTION_IDS,
-    CoalitionGame,
     apply_set_function,
     partition_shapley,
     shapley,
@@ -37,7 +36,6 @@ from .fixtures import FIG8_MANIFEST, FIXTURE_IDS, fixture
 from .graph import Qbag, load_graph, validate
 from .principles import (
     TABLE_PRINCIPLES,
-    _CHECKERS,
     SearchConfig,
     principle_from_name,
     random_corpus,
@@ -237,9 +235,8 @@ def cmd_principles(args) -> int:
             verdict = run_check(principle, args.function, g, sem, args.topic, cfg=cfg)
             results.append((gname, args.topic or "*", verdict))
         for topic in topic_list:
-            game = CoalitionGame(g, sem, topic, cfg.budget)  # shared by the table principles
             for principle in table:
-                verdict = _CHECKERS[principle](principle, args.function, game, cfg)
+                verdict = run_check(principle, args.function, g, sem, topic, cfg=cfg)
                 results.append((gname, topic, verdict))
     any_violation = any(v.violated for _, _, v in results)
 

@@ -307,12 +307,12 @@ class CoalitionGame:
     def _fill(self, players: Sequence[int]) -> None:
         """Memoise v(S) for every coalition S of `players` (disjoint non-zero
         cone masks) in one `_walk` in Gray-code order; the player whose first
-        cone node comes latest flips most often. A set of players walked
-        before is skipped: the memo holds its coalitions already."""
+        cone node comes latest flips most often. A set of players walked in
+        full before is skipped: the memo holds its coalitions already. A walk
+        that raised is not marked, so the next call walks it again."""
         walk = frozenset(players)
         if walk in self._walked:
             return
-        self._walked.add(walk)
         keyed = sorted((self._key(p), p) for p in players)
 
         def gray():
@@ -324,6 +324,7 @@ class CoalitionGame:
                 yield key, removed
 
         self._walk(gray())
+        self._walked.add(walk)
 
     def dual(self, x: str) -> float:
         """d(topic strength) / d(tau(x)), one forward-mode pass over the cone

@@ -12,13 +12,14 @@ Every table checker has one shape, checker(principle, fn, game, cfg), and
 its variant share one, told apart by `principle` (All or Exists for
 quantitative existence, the sign or the value test for counterfactuality).
 A checker reads its values from one `CoalitionGame` for (graph, semantics,
-topic): `run_check` builds that game, and each public `check_*` function is
-`run_check` with its principle; `run_matrix` builds one game per (graph,
-topic) instance under each preset, shares it across the cells still open
-and drops it before the next, and `qbaglab principles` shares one per
-(graph, topic) across the table principles. Every violation is built by
-`_violated`, which names its witness sets by `game.names` and attaches the
-topic and the graph to replay it on.
+topic): `run_check` builds that game and keeps it, one per thread, until
+its next call on another instance, so consecutive checks of one instance
+(every table principle of a `qbaglab principles` topic, say) share its
+tables; each public `check_*` function is `run_check` with its principle.
+`run_matrix` builds one game per (graph, topic) instance under each preset,
+shares it across the cells still open and drops it before the next. Every
+violation is built by `_violated`, which names its witness sets by
+`game.names` and attaches the topic and the graph to replay it on.
 
 A checked set X is the game's member mask, an int (bit i is
 `game.players[i]`): unions are `x | y`, values are read as `table[x]` from
@@ -49,22 +50,25 @@ from __future__ import annotations
 import itertools
 import random
 import string
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .contributions import (
     DEFAULT_BUDGET,
+    FUNCTION_IDS,
     SIGN_TOL,
     SINGLE_FOR_SET,
     CoalitionGame,
     SingleKind,
     sign,
     single_contribution,
+    _unknown_function,
 )
 from .errors import PartitionSpaceError
 from .fixtures import FIXTURES, SEMANTICS_SLUGS
 from .graph import Qbag, qbag, restrict
-from .semantics import PRESET_NAMES, check_stability
+from .semantics import PRESET_NAMES, check_stability, semantics_from_spec
 from .verdicts import Principle, PrincipleVerdict, Status, Witness
 
 TOL = SIGN_TOL
@@ -536,12 +540,26 @@ def principle_from_name(name) -> Principle:
     )
 
 
+#: per thread, the game of the last table-principle `run_check`: a game is
+#: not safe to share between threads
+_last = threading.local()
+
+
 def run_check(
     principle: Principle, fn, g: Qbag, sem, a: str | None, *,
     cfg: SearchConfig | None = None,
 ) -> PrincipleVerdict:
-    """Dispatch one principle check on one instance."""
+    """Dispatch one principle check on one instance.
+
+    A table principle reads its values from the `CoalitionGame` of (g, sem,
+    a) under `cfg.budget`. Each thread keeps the game of its last such call
+    alive until its next call on another instance (another graph object,
+    semantics, topic or budget), so consecutive checks of one instance share
+    its value tables. `fn` and `cfg.seed` are not part of the instance: a
+    game serves every function, and the seed only steers sampling."""
     principle = principle_from_name(principle)
+    if not callable(fn) and fn not in FUNCTION_IDS:
+        raise _unknown_function(fn)
     if principle is Principle.STABILITY:
         return check_stability(sem, g)
     cfg = cfg or SearchConfig()
@@ -550,7 +568,12 @@ def run_check(
         return check_generalization(pair, g, sem, cfg=cfg)
     if a is None:
         raise ValueError(f"principle {principle.value} needs a topic argument")
-    return _CHECKERS[principle](principle, fn, CoalitionGame(g, sem, a, cfg.budget), cfg)
+    sem = semantics_from_spec(sem)
+    game = getattr(_last, "game", None)
+    if game is None or not (game.graph is g and game.semantics == sem
+                            and game.topic == a and game.budget == cfg.budget):
+        game = _last.game = CoalitionGame(g, sem, a, cfg.budget)
+    return _CHECKERS[principle](principle, fn, game, cfg)
 
 
 def search_counterexample(

@@ -141,6 +141,16 @@ def test_linear_domain_error_on_the_game_path():
     assert game.value(game.mask(("b",))) == 1.0  # one supporter left is in the domain
 
 
+def test_a_shapley_walk_that_raised_is_walked_again():
+    # the walk's first coalition, the whole graph, is outside the domain; a
+    # second call must raise the same error, not read the values it never made
+    g = qbag({"a": 0.5, "b": 1.0, "c": 1.0}, supports=[("b", "a"), ("c", "a")])
+    game = CoalitionGame(g, Semantics(Aggregation.SUM, linear(1.0)), "a")
+    for _ in range(2):
+        with pytest.raises(InfluenceDomainError):
+            game.shapley(["b"])
+
+
 def test_gradient_psi_variants():
     g = fixture("fig1a")
     vmax = gradient(g, QE, ("d", "f"), "a", psi=Psi.MAX).value

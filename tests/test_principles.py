@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import threading
 import weakref
 
 import pytest
@@ -10,9 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from qbaglab import principles
 from qbaglab.contributions import CoalitionGame, removal
-from qbaglab.errors import PartitionSpaceError
+from qbaglab.errors import (
+    BudgetError,
+    ContributorError,
+    InfluenceDomainError,
+    PartitionSpaceError,
+)
 from qbaglab.fixtures import FIXTURES, fixture
-from qbaglab.graph import can_reach, qbag
+from qbaglab.graph import Qbag, can_reach, qbag
 from qbaglab.principles import (
     EXPECTED_VERDICTS,
     MAX_PAIR_ARGS,
@@ -40,7 +46,7 @@ from qbaglab.principles import (
     topics_of,
     violation_fixture,
 )
-from qbaglab.semantics import PRESET_NAMES, PRESETS, evaluate
+from qbaglab.semantics import PRESET_NAMES, PRESETS, Aggregation, Semantics, evaluate, linear
 from qbaglab.verdicts import Principle, Status, Witness
 
 QE = PRESETS["QE"]
@@ -365,11 +371,13 @@ def test_sampled_branches_are_pinned(shape, fn):
         assert (v.status.name, v.checked, sets) == verdicts[fn][principle], principle
 
 
-def test_every_table_verdict_on_the_fixtures_is_pinned():
+@pytest.mark.parametrize("via", ["game", "run_check"])
+def test_every_table_verdict_on_the_fixtures_is_pinned(via):
     # Recorded before the checkers took one shape: every table principle,
     # set function and preset on every topic of the fixtures but fig8, one
     # game per (fixture, preset, topic) shared by all its cells, as run_matrix
-    # shares each instance's game under a preset.
+    # shares each instance's game under a preset. Through run_check the cells
+    # of one instance come one after another, so they share its kept game.
     assert set(_CHECKERS) == set(TABLE_PRINCIPLES)
     cfg, digest, count = SearchConfig(), hashlib.sha256(), 0
     for fid in sorted(FIXTURES):
@@ -381,7 +389,10 @@ def test_every_table_verdict_on_the_fixtures_is_pinned():
                 game = CoalitionGame(g, name, topic)
                 for fn in SET_FUNCTION_IDS:
                     for principle in TABLE_PRINCIPLES:
-                        verdict = _CHECKERS[principle](principle, fn, game, cfg)
+                        if via == "game":
+                            verdict = _CHECKERS[principle](principle, fn, game, cfg)
+                        else:
+                            verdict = run_check(principle, fn, g, name, topic, cfg=cfg)
                         digest.update(json.dumps(verdict.to_dict(), sort_keys=True).encode())
                         count += 1
     assert count == 23360
@@ -397,6 +408,99 @@ def test_run_check_dispatch_and_stability():
     assert v.status is Status.VIOLATED
     v = run_check(Principle.CTRB_GENERALIZATION, "removal", g, QE, "a")
     assert v.status is Status.SATISFIED
+
+
+@pytest.mark.parametrize("principle", list(Principle), ids=lambda p: p.value)
+def test_run_check_rejects_an_unknown_function(principle):
+    # the first three instances are vacuous for Directionality and the rest
+    # for ContributionExistence: they return before any table is read
+    instances = [("fig3", "a"), ("fig1a", "a"), ("fig7", "a"), ("fig1a", "f"),
+                 ("fig3", "b"), ("fig3", "c"), ("fig7", "b"), ("fig7", "c")]
+    for fid, topic in instances:
+        with pytest.raises(ContributorError, match="unknown contribution function 'nonsense'"):
+            run_check(principle, "nonsense", fixture(fid), "QE", topic)
+    # a callable is a set function too
+    v = run_check(principle, lambda g, sem, members, topic: 0.0, fixture("fig3"), "QE", "a")
+    assert v.principle is principle
+
+
+def _count_games(monkeypatch) -> list:
+    """Weak references to every game `principles` builds from now on."""
+    built = []
+
+    class Counted(CoalitionGame):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(principles, "CoalitionGame", Counted)
+    return built
+
+
+def _copy(g: Qbag) -> Qbag:
+    """An equal graph that is another object."""
+    return Qbag(g.arguments, g.attacks, g.supports, g.initial_strength)
+
+
+def test_run_check_builds_one_game_per_instance(monkeypatch):
+    built = _count_games(monkeypatch)
+    g = _copy(fixture("fig1a"))
+    for fn in SET_FUNCTION_IDS:
+        for principle in TABLE_PRINCIPLES:
+            run_check(principle, fn, g, QE, "a")
+    assert len(built) == 1
+    # the same instance: the preset by name, another seed
+    run_check(Principle.CONSISTENCY, "removal", g, "QE", "a", cfg=SearchConfig(seed=7))
+    assert len(built) == 1
+    # another instance each: an equal graph object, semantics, topic, budget
+    others = [(_copy(g), QE, "a", SearchConfig()), (g, "DFQuAD", "a", SearchConfig()),
+              (g, QE, "b", SearchConfig()), (g, QE, "a", SearchConfig(budget=1 << 10))]
+    for n, (h, sem, topic, cfg) in enumerate(others, 2):
+        run_check(Principle.MONOTONICITY, "removal", h, sem, topic, cfg=cfg)
+        assert len(built) == n
+
+
+def test_run_check_keeps_the_budget_of_each_call(monkeypatch):
+    built = _count_games(monkeypatch)
+    g = _copy(fixture("fig1a"))  # topic a's cone holds every argument
+    run_check(Principle.CONSISTENCY, "shapley", g, QE, "a")
+    with pytest.raises(BudgetError):
+        run_check(Principle.CONSISTENCY, "shapley", g, QE, "a", cfg=SearchConfig(budget=4))
+    assert len(built) == 2
+
+
+def test_run_check_shares_no_game_between_threads(monkeypatch):
+    built = _count_games(monkeypatch)
+    g = _copy(fixture("fig1a"))
+
+    def check():
+        run_check(Principle.MONOTONICITY, "removal", g, QE, "a")
+
+    check()
+    for _ in range(2):
+        worker = threading.Thread(target=check)
+        worker.start()
+        worker.join()
+    check()  # the main thread's game outlives the workers'
+    assert len(built) == 3
+
+
+def test_run_check_drops_the_game_of_the_last_instance(monkeypatch):
+    built = _count_games(monkeypatch)
+    g = _copy(fixture("fig1a"))
+    run_check(Principle.MONOTONICITY, "removal", g, QE, "a")
+    run_check(Principle.MONOTONICITY, "removal", g, QE, "b")
+    gc.collect()  # a game and its tables form a reference cycle
+    assert [ref() is None for ref in built] == [True, False]
+
+
+def test_run_check_on_a_game_whose_walk_raised():
+    # the kept game of a call that raised mid-walk serves the next call
+    g = qbag({"a": 0.5, "b": 1.0, "c": 1.0}, supports=[("b", "a"), ("c", "a")])
+    sem = Semantics(Aggregation.SUM, linear(1.0))
+    for _ in range(2):
+        with pytest.raises(InfluenceDomainError):
+            run_check(Principle.CONSISTENCY, "shapley", g, sem, "a")
 
 
 def test_principle_names_accept_aliases():
