@@ -43,6 +43,7 @@ import copy
 import itertools
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -362,7 +363,7 @@ class CoalitionGame:
         table = self._tables.get(fn)
         if table is None:
             table = self._tables[fn] = _Table()
-            table.game, table.fn = self, fn
+            table.game, table.fn = weakref.proxy(self), fn  # weak: no game-table cycle
         return table
 
     def set_value(self, fn, m: int) -> float:
@@ -491,7 +492,9 @@ class CoalitionGame:
 
 class _Table(dict):
     """One function's values in one game, by member mask; a miss computes
-    the value through `CoalitionGame.set_value` and keeps it."""
+    the value through `CoalitionGame.set_value` and keeps it. The table
+    holds a weak proxy of its game, so it cannot compute once the game is
+    gone (`ReferenceError`)."""
 
     __slots__ = ("game", "fn")
 

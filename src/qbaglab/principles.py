@@ -37,6 +37,11 @@ every pair X ⊂ Y itself, the subsets of y by `(x - 1) & y`, up to
 The partition checks enumerate `partition_masks`, tuples of block masks,
 up to `MAX_PARTITION_ARGS` players; past that, All-mode raises
 `PartitionSpaceError` and Exists-mode tries only the reachability split.
+All-mode first tries a certificate on the 2^n subset values instead:
+every partition sums to sigma(a) - tau(a) exactly when the whole set does
+and the function is additive, so residuals small enough to survive the
+float sums prove Satisfied, with `checked` the Bell(n) partitions covered;
+otherwise the walk decides, and its verdict is the one reported.
 Values are compared with the one tolerance `TOL`.
 
 The matrix runner crosses the four set functions with the five semantics
@@ -74,6 +79,8 @@ from .verdicts import Principle, PrincipleVerdict, Status, Witness
 TOL = SIGN_TOL
 MAX_SUBSET_ARGS = 12
 MAX_PARTITION_ARGS = 10
+#: Bell(n), the number of set partitions of n players, for n <= MAX_PARTITION_ARGS
+_BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975)
 MAX_PAIR_ARGS = 7
 #: random subsets a checker draws once exhaustive enumeration is off the table
 SAMPLE_SIZE = 200
@@ -258,7 +265,10 @@ def _quantitative_contribution_existence(
     principle, fn, game: CoalitionGame, cfg,
 ) -> PrincipleVerdict:
     """All-mode for QuantitativeContributionExistence, Exists-mode for its
-    weak variant."""
+    weak variant. All-mode returns Satisfied at once when `_additive`
+    certifies that every partition sums within TOL of sigma(a) - tau(a),
+    counting the Bell(n) partitions that covers as checked; otherwise it
+    walks the partitions, so every violation and its witness is the walk's."""
     a = game.topic
     delta = game.value() - game.graph.initial_strength[a]
     bits = _player_bits(game)
@@ -266,6 +276,9 @@ def _quantitative_contribution_existence(
     table = game.table(fn)
 
     if principle is Principle.QUANTITATIVE_CONTRIBUTION_EXISTENCE:
+        n = len(bits)
+        if 0 < n <= MAX_PARTITION_ARGS and _additive(table, n, delta):
+            return PrincipleVerdict(principle, Status.SATISFIED, checked=_BELL[n])
         checked = 0
         for checked, blocks in enumerate(partitions, 1):
             total = sum([table[b] for b in blocks])
@@ -303,6 +316,38 @@ def _quantitative_contribution_existence(
         {"sigma(a)-tau(a)": delta, "closest partition gap": best_gap, "margin": best_gap},
         "no partition of the non-topic arguments sums to sigma-tau; "
         "witness sets show the closest one")
+
+
+def _additive(table, n: int, delta: float) -> bool:
+    """Whether every partition of the n players provably sums to `delta`
+    within TOL, read from 2^n values instead of Bell(n) partitions.
+
+    With r0 = |S(N) - delta| and r(A) = |S(A) - sum of S({x}) over x in A|,
+    every partition's exact sum lies within r0 + r(N) + the r of its blocks,
+    at most r0 + (n + 1) * max r, of delta. The float sums the walk and this
+    test compute add less than (n + 2)^3 * 2^-51 * M, M the largest |value|,
+    |singleton sum| or |delta|. False as soon as a residual breaks the
+    budget, or if a value cannot be read: the walk then decides, and raises
+    only where it would have raised anyway."""
+    full = (1 << n) - 1
+    try:
+        r0 = abs(table[full] - delta)
+        if not r0 <= TOL:  # the walk's first partition, (N,), is violated
+            return False
+        limit = (TOL - r0) / (n + 1)
+        sums, worst = [0.0] * (full + 1), 0.0  # the singleton sum of each mask
+        for m in range(1, full + 1):
+            low = m & -m
+            s = sums[m] = sums[m ^ low] + table[low]
+            r = abs(table[m] - s)
+            if not r <= limit:  # NaN included
+                return False
+            if r > worst:
+                worst = r
+    except Exception:
+        return False
+    scale = max(abs(delta), max(map(abs, sums)), max(map(abs, table.values())))
+    return r0 + (n + 1) * worst + (n + 2) ** 3 * 2.0 ** -51 * scale <= TOL
 
 
 def check_directionality(

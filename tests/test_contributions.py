@@ -151,6 +151,24 @@ def test_a_shapley_walk_that_raised_is_walked_again():
             game.shapley(["b"])
 
 
+def test_a_dropped_game_is_freed_without_the_cycle_collector():
+    game = CoalitionGame(fixture("fig1a"), QE, "a")
+    tables = [game.table(fn) for fn in FUNCTION_IDS]
+    for table in tables:
+        table[1], table[3]
+    ref = weakref.ref(game)
+    gc.disable()
+    try:
+        del game
+        assert ref() is None
+    finally:
+        gc.enable()
+    # a table that outlives its game keeps its values and computes no more
+    assert all(1 in table for table in tables)
+    with pytest.raises(ReferenceError):
+        tables[0][2]
+
+
 def test_gradient_psi_variants():
     g = fixture("fig1a")
     vmax = gradient(g, QE, ("d", "f"), "a", psi=Psi.MAX).value

@@ -51,13 +51,27 @@ from qbaglab.verdicts import Principle, Status, Witness
 
 QE = PRESETS["QE"]
 
-BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
+BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147}
 
 
 def test_partition_counts_match_bell_numbers():
     for n, want in BELL.items():
         base = [chr(ord("b") + i) for i in range(n)]
         assert sum(1 for _ in enumerate_partitions(base)) == want
+
+
+def test_the_bell_table_counts_the_partitions():
+    # the Bell triangle: each row starts with the last entry of the one before
+    row, bell = [1], [1]
+    for _ in range(MAX_PARTITION_ARGS):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+        bell.append(row[0])
+    assert principles._BELL == tuple(bell)
+    for n in range(10):  # n = 10 is 115,975 partitions; the triangle covers it
+        assert principles._BELL[n] == sum(1 for _ in partition_masks(n))
 
 
 def test_partition_enumeration_order_is_restricted_growth():
@@ -133,6 +147,119 @@ def test_weak_quantitative_existence_uses_reachability_split():
         "removal", fixture("fig3"), QE, "a", mode="Exists")
     assert v.status is Status.SATISFIED
     assert v.witness is not None and "reachability" in v.witness.note
+
+
+def _qce_by_definition(fn, g, sem, topic):
+    """All-mode QuantitativeContributionExistence by its definition, as
+    (status name, checked, witness sets): every partition of the non-topic
+    arguments, float-summed in block order, must come within TOL of
+    sigma(a) - tau(a); the first that does not is the witness."""
+    game = CoalitionGame(g, sem, topic)
+    delta = game.value() - g.initial_strength[topic]
+    checked = 0
+    for checked, blocks in enumerate(enumerate_partitions(game.players), 1):
+        masks = [sum(1 << game.players.index(x) for x in block) for block in blocks]
+        total = sum([game.set_value(fn, m) for m in masks])
+        if abs(total - delta) > principles.TOL:
+            return "VIOLATED", checked, tuple(tuple(sorted(b)) for b in blocks)
+    return "SATISFIED", checked, None
+
+
+def _qce(fn, g, sem, topic):
+    v = check_quantitative_contribution_existence(fn, g, sem, topic)
+    return v.status.name, v.checked, v.witness.sets if v.witness is not None else None
+
+
+def _planted(g, sem, topic, residuals):
+    """A callable set function on (g, sem, topic): additive, its singletons
+    summing to sigma(a) - tau(a), plus residuals[X] on each planted set X."""
+    delta = CoalitionGame(g, sem, topic).value() - g.initial_strength[topic]
+    players = sorted(g.arguments - {topic})
+    weight = {x: (i + 1) / 10 for i, x in enumerate(players[:-1])}
+    weight[players[-1]] = delta - sum(weight.values())
+
+    def fn(g, sem, members, topic):
+        return sum(weight[x] for x in sorted(members)) + residuals.get(members, 0.0)
+    return fn
+
+
+def _certificates(monkeypatch) -> list:
+    """What the All-mode certificate answers from now on, in call order."""
+    answers, real = [], principles._additive
+
+    def spy(*args):
+        answers.append(real(*args))
+        return answers[-1]
+    monkeypatch.setattr(principles, "_additive", spy)
+    return answers
+
+
+@pytest.mark.parametrize("planted, certify, status", [
+    # one 2-set at just under and just over the certificate's budget
+    ({"bc": 1 - 1e-3}, True, "SATISFIED"),
+    ({"bc": 1 + 1e-3}, False, "SATISFIED"),
+    # two disjoint 2-sets, each under TOL, together over it in one partition
+    ({"bc": 3.5, "de": 3.5}, False, "VIOLATED"),
+    # one 2-set over 2 * TOL
+    ({"cf": 12.5}, False, "VIOLATED"),
+    # a negative residual on the whole set and a positive one on a 2-set
+    ({"bcdef": -3.0, "de": 3.0}, False, "SATISFIED"),
+])
+def test_quantitative_existence_near_tol_matches_the_walk(
+        monkeypatch, planted, certify, status):
+    # residuals in units of TOL / (n + 1), the certificate's budget per set
+    g, topic = fixture("fig1a"), "a"
+    unit = principles.TOL / len(g.arguments)
+    fn = _planted(g, QE, topic, {frozenset(k): x * unit for k, x in planted.items()})
+    answers = _certificates(monkeypatch)
+    got = _qce(fn, g, QE, topic)
+    assert answers == [certify]
+    assert got == _qce_by_definition(fn, g, QE, topic)
+    assert got[0] == status
+
+
+def test_quantitative_existence_defers_when_rounding_alone_spans_tol(monkeypatch):
+    # Exactly additive in floats, each set summed as the certificate sums
+    # singletons, so every residual is 0; but at 1e8 a partition's float
+    # sum is off by several times TOL: the rounding slack must refuse.
+    g = qbag({"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5, "e": 0.5})  # sigma(a) = tau(a)
+    weight = {"b": 1e8, "c": -1e8, "d": 0.1, "e": -0.1}
+
+    def fn(g, sem, members, topic):
+        total = 0.0
+        for x in sorted(members, reverse=True):
+            total += weight[x]
+        return total
+    answers = _certificates(monkeypatch)
+    got = _qce(fn, g, QE, "a")
+    assert answers == [False]
+    assert got == _qce_by_definition(fn, g, QE, "a") and got[0] == "VIOLATED"
+
+
+def test_quantitative_existence_walks_past_a_value_it_cannot_read():
+    # the certificate reads {b} first, which raises; the walk never reads it
+    # and finds its violation at the second partition, ({b,c,d,e}, {f})
+    g, topic = fixture("fig1a"), "a"
+    additive = _planted(g, QE, topic, {frozenset("bcde"): 1.0})
+
+    def fn(g, sem, members, topic):
+        if members == {"b"}:
+            raise ValueError("no value for {b}")
+        return additive(g, sem, members, topic)
+    assert _qce(fn, g, QE, topic) == ("VIOLATED", 2, (("b", "c", "d", "e"), ("f",)))
+
+
+def test_quantitative_existence_equals_its_definition_on_random_graphs(monkeypatch):
+    rng = random.Random(27)
+    outcomes, answers = set(), _certificates(monkeypatch)
+    for _ in range(8):
+        g = random_qbag(rng, rng.randint(2, 7), rng.choice((0.2, 0.4, 0.6)), STRENGTH_GRID)
+        for topic, fn, name in itertools.product(
+                sorted(g.arguments), SET_FUNCTION_IDS, PRESET_NAMES):
+            want = _qce_by_definition(fn, g, name, topic)
+            assert _qce(fn, g, name, topic) == want, (fn, name, topic)
+            outcomes.add(want[0])
+    assert outcomes == {"SATISFIED", "VIOLATED"} and set(answers) == {True, False}
 
 
 def test_counterfactuality_verdicts():
@@ -490,7 +617,7 @@ def test_run_check_drops_the_game_of_the_last_instance(monkeypatch):
     g = _copy(fixture("fig1a"))
     run_check(Principle.MONOTONICITY, "removal", g, QE, "a")
     run_check(Principle.MONOTONICITY, "removal", g, QE, "b")
-    gc.collect()  # a game and its tables form a reference cycle
+    # no gc.collect(): a game and its tables form no reference cycle
     assert [ref() is None for ref in built] == [True, False]
 
 
