@@ -4,10 +4,9 @@ A graph couples a finite argument set with two disjoint edge relations
 (attacks and supports) and an initial strength in [0, 1] per argument.
 All surgery operations (restriction, edge detachment, strength updates)
 return fresh graphs; nothing here mutates. A graph is hashable, and equal
-graphs hash alike; the hash is computed once per graph. The builders reject
-a strength outside [0, 1] or NaN (StrengthRangeError); the raw `Qbag(...)`
-constructor checks nothing, so that `validate` can report every breach at
-once.
+graphs hash alike. The builders reject a strength outside [0, 1] or NaN
+(StrengthRangeError); the raw `Qbag(...)` constructor checks nothing, so
+that `validate` can report every breach at once.
 
 This module is the one place that reads adjacency off the edge sets, once
 per edge structure. The evaluators and the coalition game walk a graph's
@@ -15,15 +14,17 @@ per edge structure. The evaluators and the coalition game walk a graph's
 parents as (position, polarity) pairs in parent-id order. A graph built
 from edges compiles it on first use from `parents` (sorted (id, polarity)
 pairs per argument) and `order` (its `topological_order`), and keeps both,
-so each is derived once per graph. A strength-only copy shares its source's
-plan and what it holds of `parents` and `order`; a `restrict` or
-`detach_incoming` child filters its parent's plan, with no `parents` and no
-Kahn (it derives its own `parents` or `order` only if read). Where the
-source's plan cannot compile (a dangling edge, a cycle), a copy or child
-compiles its own when read, and so raises only when it is evaluated, not
-when it is made. A child's plan order is its parent's, filtered,
-not always the child's own `order`: `evaluate`'s dict iterates in plan
-order, and every consumer reads it by key or sorts it. An edge whose
+so each is derived once per graph. One helper, `_inherit`, decides how a
+derived graph borrows its source's plan: a strength-only copy shares it,
+with what the source holds of `parents` and `order`; a `restrict` or
+`detach_incoming` child filters it, with no `parents` and no Kahn (it
+derives its own `parents` or `order` only if read). Filtering takes one
+pass over the plan, since a parent precedes its children in a topological
+order. Where the source's plan cannot compile (a dangling edge, a cycle), a
+copy or child compiles its own when read, and so raises only when it is
+evaluated, not when it is made. A child's plan order is its parent's,
+filtered, not always the child's own `order`: `evaluate`'s dict iterates in
+plan order, and every consumer reads it by key or sorts it. An edge whose
 endpoint is not an argument raises `UnknownArgumentError` when `parents` or
 the plan is first read; `validate` reports it with every other breach.
 """
@@ -61,17 +62,20 @@ class Plan(NamedTuple):
     # onto a free list that exact-size tuples never take from, and over many
     # restricts those lists came to hold megabytes
     def restricted(self, keep: frozenset) -> Plan:
-        """The plan of the subgraph induced by `keep`, this one if it keeps all."""
+        """The plan of the subgraph induced by `keep`, this one if it keeps all.
+        One pass: a parent precedes its children in the order, so a kept
+        parent has its new position before any child reads it."""
         order, parents = self
         if len(keep) == len(order):  # `keep` holds only arguments
             return self
-        kept = [i for i, a in enumerate(order) if a in keep]
         new = [-1] * len(order)  # old position -> new, -1 if dropped
-        for k, i in enumerate(kept):
-            new[i] = k
-        return Plan(tuple([order[i] for i in kept]),
-                    tuple([tuple([(new[j], pol) for j, pol in parents[i] if new[j] >= 0])
-                           for i in kept]))
+        kept, kept_parents = [], []
+        for i, a in enumerate(order):
+            if a in keep:
+                new[i] = len(kept)
+                kept.append(a)
+                kept_parents.append(tuple([(new[j], pol) for j, pol in parents[i] if new[j] >= 0]))
+        return Plan(tuple(kept), tuple(kept_parents))
 
     def detached(self, x_set: frozenset) -> Plan:
         """The plan with every edge entering `x_set` from outside cut."""
@@ -94,11 +98,6 @@ class Qbag:
                            MappingProxyType(dict(self.initial_strength)))
 
     def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The hash, computed once; a strength-only copy computes its own."""
         return hash((self.arguments, self.attacks, self.supports,
                      frozenset(self.initial_strength.items())))
 
@@ -302,15 +301,10 @@ def detach_incoming(g: Qbag, x_set: Iterable[ArgumentId]) -> Qbag:
     """Remove every edge entering `x_set` from outside it; keep everything else."""
     x_set = frozenset(x_set)
     _require_known(g, x_set)
-
-    def keep_edge(e: Edge) -> bool:
-        y, x = e
-        return not (x in x_set and y not in x_set)
-
     h = Qbag(
         arguments=g.arguments,
-        attacks=frozenset([e for e in g.attacks if keep_edge(e)]),
-        supports=frozenset([e for e in g.supports if keep_edge(e)]),
+        attacks=frozenset([e for e in g.attacks if e[0] in x_set or e[1] not in x_set]),
+        supports=frozenset([e for e in g.supports if e[0] in x_set or e[1] not in x_set]),
         initial_strength=g.initial_strength,
     )
     return _inherit(h, g, lambda plan: plan.detached(x_set))
@@ -325,17 +319,10 @@ def set_initial_strength(g: Qbag, x: ArgumentId, eps: float) -> Qbag:
 
 def _with_tau(g: Qbag, tau: Mapping[ArgumentId, float]) -> Qbag:
     """`g` with the initial strengths `tau`, taken as given, sharing `g`'s
-    plan and whichever of `parents` and `order` `g` holds. If `g`'s plan
-    cannot compile, the copy compiles its own when read, as a `restrict`
-    child does, and so raises when it is evaluated, not here."""
-    h = Qbag(g.arguments, g.attacks, g.supports, tau)
-    try:
-        g.plan  # compiled on `g`, once for every copy
-    except (UnknownArgumentError, CycleError):
-        return h
-    for k in ("plan", "parents", "order"):
-        if k in g.__dict__:  # where cached_property keeps it
-            h.__dict__[k] = g.__dict__[k]
+    plan and, with it, whichever of `parents` and `order` `g` holds."""
+    h = _inherit(Qbag(g.arguments, g.attacks, g.supports, tau), g, lambda plan: plan)
+    if "plan" in h.__dict__:  # where cached_property keeps them
+        h.__dict__.update((k, g.__dict__[k]) for k in ("parents", "order") if k in g.__dict__)
     return h
 
 

@@ -22,7 +22,7 @@ from .errors import (
     StrengthRangeError,
     UnknownArgumentError,
 )
-from .graph import Qbag, qbag
+from .graph import Qbag, _strength, qbag
 from .semantics import PRESETS, Semantics, evaluate
 
 REVIEW_SEMANTICS: Semantics = PRESETS["DFQuAD"]
@@ -78,10 +78,8 @@ def aspect_model(graph: Qbag, manifest: Mapping) -> AspectModel:
     missing = [a for a in aspects if a not in graph.arguments]
     if missing:
         raise UnknownArgumentError(missing)
-    decision_tau = float(manifest.get("decision_tau", 0.5))
     decision_id = str(manifest.get("decision_id", DEFAULT_DECISION_ID))
-    if not 0.0 <= decision_tau <= 1.0:
-        raise StrengthRangeError(decision_id, decision_tau)
+    decision_tau = _strength(decision_id, manifest.get("decision_tau", 0.5))
     if decision_id in graph.arguments:
         raise GraphFormatError(
             f"decision id {decision_id!r} clashes with a text-layer argument")
@@ -237,20 +235,15 @@ def report_contributions(
 
     focus_members = tuple(a for a in present if a in set(focus))
     focus_row = row(_set_label(focus_members, model.aspects), focus_members)
-    singleton_order = list(focus_members)
-    singleton_order += [a for a in present if a not in set(focus_members)]
-    singles = [row(a, (a,)) for a in singleton_order]
-
-    non_focus = [a for a in singleton_order if a not in set(focus_members)]
-    sum_label = "+".join(non_focus + [focus_row.label])
-    by_label = {r.label: r for r in singles}
+    non_focus = [a for a in present if a not in focus_members]
+    singles = [row(a, (a,)) for a in (*focus_members, *non_focus)]
+    rest = singles[len(focus_members):]  # the rows of `non_focus`
     sum_row = ReviewRow(
-        label=sum_label,
+        label="+".join(non_focus + [focus_row.label]),
         members=tuple(present),
-        removal=focus_row.removal + sum(by_label[a].removal for a in non_focus),
-        shapley=focus_row.shapley + sum(by_label[a].shapley for a in non_focus),
-        gradient_max=focus_row.gradient_max
-        + sum(by_label[a].gradient_max for a in non_focus),
+        removal=focus_row.removal + sum(r.removal for r in rest),
+        shapley=focus_row.shapley + sum(r.shapley for r in rest),
+        gradient_max=focus_row.gradient_max + sum(r.gradient_max for r in rest),
     )
 
     sigma_decision = game.value()

@@ -328,8 +328,6 @@ def _influence(inf: Influence):
                 d = dw - (dw * h1v + w * h1d / k) + (-dw * h2v + (1.0 - w) * h2d / k)
             return value(w, s), d
 
-    else:
-        raise SemanticsError(f"unknown influence kind: {inf.kind!r}")
     return value, dual
 
 

@@ -236,7 +236,7 @@ def test_hash_and_eq_agree_across_json_round_trip(seed):
 
 def test_a_strength_only_copy_hashes_to_its_own_value():
     g = small_graph()
-    before = hash(g)  # kept on g from here on
+    before = hash(g)
     h = set_initial_strength(g, "a", 0.9)
     rebuilt = qbag({**g.initial_strength, "a": 0.9},
                    attacks=g.attacks, supports=g.supports)

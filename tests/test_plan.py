@@ -59,6 +59,59 @@ def test_surgery_children_evaluate_as_if_rebuilt(seed):
     assert restrict(g, keep).order == tuple(topological_order(rebuilt(restrict(g, keep))))
 
 
+# sources whose plan cannot compile: an edge from an unknown argument, and a
+# cycle that a detach or a restrict can break
+DANGLING = qbag({"a": 0.5, "b": 0.3, "c": 0.8, "d": 0.6},
+                attacks=[("b", "a"), ("z", "a")], supports=[("c", "b"), ("d", "c")])
+CYCLIC = qbag({"a": 0.5, "b": 0.3, "c": 0.6, "d": 0.9},
+              attacks=[("a", "b"), ("b", "a")], supports=[("c", "a"), ("d", "c")])
+
+
+def outcome(read):
+    """`exact(read())`, or the type and message of what it raises."""
+    try:
+        return exact(read())
+    except (CycleError, UnknownArgumentError) as err:
+        return type(err), str(err)
+
+
+def compiles(g: Qbag) -> bool:
+    try:
+        g.plan
+    except (CycleError, UnknownArgumentError):
+        return False
+    return True
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000), source=st.sampled_from(("random", "dangling", "cyclic")))
+def test_chains_of_derived_graphs_evaluate_as_if_rebuilt(seed, source):
+    rng = random.Random(seed)
+    grid = [0.0, -0.0, 1.0, 0.5, *(rng.random() for _ in range(3))]
+    g = {"random": lambda: random_qbag(rng, rng.randint(2, 7), rng.choice((0.2, 0.5)), grid),
+         "dangling": lambda: DANGLING, "cyclic": lambda: CYCLIC}[source]()
+    for _ in range(rng.randint(2, 4)):
+        step = rng.choice(("restrict", "detach", "tau") if g.arguments else ("detach",))
+        if step == "restrict":
+            h = restrict(g, {a for a in g.arguments if rng.random() < 0.8})
+        elif step == "detach":
+            h = detach_incoming(g, {a for a in g.arguments if rng.random() < 0.4})
+        else:
+            h = set_initial_strength(g, rng.choice(sorted(g.arguments)), rng.choice(grid))
+        assert ("plan" in h.__dict__) == compiles(g)  # inherited, not compiled
+        if step == "tau" and compiles(g):  # shares what `g` holds
+            assert all(h.__dict__.get(k) is g.__dict__.get(k)
+                       for k in ("plan", "parents", "order"))
+        fresh = rebuilt(h)
+        assert h == fresh and hash(h) == hash(fresh)
+        for sem in PRESET_NAMES:
+            assert outcome(lambda: evaluate(h, sem)) == outcome(lambda: evaluate(fresh, sem))
+            for x in sorted(h.arguments):
+                assert (outcome(lambda: evaluate_dual(h, sem, x))
+                        == outcome(lambda: evaluate_dual(fresh, sem, x)))
+        g = h
+
+
 def test_surgery_runs_no_kahn_and_derives_no_parents(monkeypatch):
     calls = []
     original = qbaglab.graph.topological_order

@@ -710,13 +710,11 @@ def test_sampled_consistency_reports_the_first_clashing_pair():
 
 
 def test_run_matrix_keeps_no_game_across_instances(monkeypatch):
-    # A game and its tables form a reference cycle, so a dropped game lives
-    # until the cycle collector runs: collect before each count. The objects
-    # that exist already are frozen, which keeps each collection short.
+    # Counted with the cycle collector off: a dropped game must be freed by
+    # its reference count alone.
     refs, alive_at_build = [], []
 
     def alive() -> int:
-        gc.collect()
         return sum(r() is not None for r in refs)
 
     class Recorded(CoalitionGame):
@@ -726,12 +724,12 @@ def test_run_matrix_keeps_no_game_across_instances(monkeypatch):
             refs.append(weakref.ref(self))
 
     monkeypatch.setattr(principles, "CoalitionGame", Recorded)
-    gc.freeze()
+    gc.disable()
     try:
         report = run_matrix(SearchConfig(random_graphs=3))
         assert alive() == 0
     finally:
-        gc.unfreeze()
+        gc.enable()
     assert len(report.cells) == 160 and report.ok
     assert len(refs) > 5 * len(FIXTURES)
     assert max(alive_at_build) <= 1
